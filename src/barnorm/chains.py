@@ -44,6 +44,9 @@ class Chain:
 
     def __init__(self, model: GroupModel, degree: int, _denom: int = 1,
                  _numer: Optional[dict] = None):
+        """``_denom`` and ``_numer`` are the internal form: trusted canonical
+        simplices with int numerators over one denominator.  The chain takes
+        ownership of ``_numer``; zero entries are deleted in place."""
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
         self.model = model
@@ -52,7 +55,7 @@ class Chain:
         if _denom <= 0:
             raise ValueError("internal denominator must be positive")
         # Canonical form: no zero numerators, content coprime to denominator.
-        if numer:
+        if 0 in numer.values():
             zeros = [s for s, n in numer.items() if not n]
             for s in zeros:
                 del numer[s]
@@ -103,14 +106,6 @@ class Chain:
             n = c.numerator * (denom // c.denominator)
             if n:
                 numer[s] = n
-        return cls(model, degree, denom, numer)
-
-    @classmethod
-    def _raw(cls, model: GroupModel, degree: int, denom: int, numer: dict) -> "Chain":
-        """Internal fast path: trusted canonical simplices and int numerators.
-
-        Takes ownership of ``numer``; zero entries are deleted in place.
-        """
         return cls(model, degree, denom, numer)
 
     # -- inspection ----------------------------------------------------------
@@ -193,19 +188,16 @@ class Chain:
             else:
                 numer = {s: n * fa for s, n in self._numer.items()}
             small, factor = other._numer, fb
-        if factor == 1:
-            for s, n in small.items():
-                if s in numer:
-                    numer[s] += n
-                else:
-                    numer[s] = n
-        else:
-            for s, n in small.items():
-                if s in numer:
-                    numer[s] += n * factor
-                else:
-                    numer[s] = n * factor
-        return Chain._raw(self.model, self.degree, denom, numer)
+        # one lookup and one store or delete per entry; a sum can only be
+        # zero for a key already present, and cancelled keys leave at once
+        get = numer.get
+        for s, n in small.items():
+            n = get(s, 0) + n * factor
+            if n:
+                numer[s] = n
+            else:
+                del numer[s]
+        return Chain(self.model, self.degree, denom, numer)
 
     def __add__(self, other: "Chain") -> "Chain":
         return self._merge(other, 1)
@@ -214,7 +206,7 @@ class Chain:
         return self._merge(other, -1)
 
     def __neg__(self) -> "Chain":
-        return Chain._raw(
+        return Chain(
             self.model, self.degree, self._denom,
             {s: -n for s, n in self._numer.items()},
         )
@@ -224,10 +216,28 @@ class Chain:
         if not q:
             return Chain.zero(self.model, self.degree)
         numer = {s: n * q.numerator for s, n in self._numer.items()}
-        return Chain._raw(self.model, self.degree, self._denom * q.denominator, numer)
+        return Chain(self.model, self.degree, self._denom * q.denominator, numer)
 
     def __rmul__(self, value) -> "Chain":
         return self.scale(value)
+
+
+def _accumulate(out: dict, pairs) -> None:
+    """Add every ``(key, value)`` of ``pairs`` into ``out``, keeping zeros.
+
+    ``setdefault`` stores a new key in one probe of the table; only a key
+    already present (the dict did not grow) takes a second probe.  Probes
+    are dear here: ``hash(-1) == hash(-2)``, so free-group words differing
+    only in those letters share a hash and their lookups walk collisions.
+    """
+    setdefault = out.setdefault
+    size = len(out)
+    for key, value in pairs:
+        old = setdefault(key, value)
+        if len(out) == size:
+            out[key] = old + value
+        else:
+            size += 1
 
 
 def boundary(chain: Chain) -> Chain:
@@ -239,57 +249,33 @@ def boundary(chain: Chain) -> Chain:
     if degree == 1:
         # both faces of [e, g] re-base to the empty tuple and cancel
         return Chain.zero(model, 0)
-    mul = model.multiply
-    inv = model.inverse
-    out: dict[tuple, int] = {}
+    ldiv = model._left_divide
     items = chain._numer.items()
-    if degree == 2:
-        for (g1, g2), num in items:
-            face = (mul(inv(g1), g2),)
-            if face in out:
-                out[face] += num
-            else:
-                out[face] = num
-            face = (g2,)
-            if face in out:
-                out[face] -= num
-            else:
-                out[face] = -num
-            face = (g1,)
-            if face in out:
-                out[face] += num
-            else:
-                out[face] = num
-    elif degree == 3:
-        for (g1, g2, g3), num in items:
-            g1i = inv(g1)
-            for face, value in (
-                ((mul(g1i, g2), mul(g1i, g3)), num),
-                ((g2, g3), -num),
-                ((g1, g3), num),
-                ((g1, g2), -num),
-            ):
-                if face in out:
-                    out[face] += value
-                else:
-                    out[face] = value
-    else:
-        for simplex, num in items:
-            g1_inv = inv(simplex[0])
-            face = tuple(mul(g1_inv, v) for v in simplex[1:])
-            if face in out:
-                out[face] += num
-            else:
-                out[face] = num
-            value = num
-            for j in range(1, degree + 1):
-                value = -value
-                face = simplex[: j - 1] + simplex[j:]
-                if face in out:
-                    out[face] += value
-                else:
-                    out[face] = value
-    return Chain._raw(model, degree - 1, chain._denom, out)
+
+    def faces():
+        if degree == 2:
+            for (g1, g2), num in items:
+                yield (ldiv(g1, g2),), num
+                yield (g2,), -num
+                yield (g1,), num
+        elif degree == 3:
+            for (g1, g2, g3), num in items:
+                yield (ldiv(g1, g2), ldiv(g1, g3)), num
+                yield (g2, g3), -num
+                yield (g1, g3), num
+                yield (g1, g2), -num
+        else:
+            for simplex, num in items:
+                g1 = simplex[0]
+                yield tuple(ldiv(g1, v) for v in simplex[1:]), num
+                value = num
+                for j in range(1, degree + 1):
+                    value = -value
+                    yield simplex[: j - 1] + simplex[j:], value
+
+    out: dict[tuple, int] = {}
+    _accumulate(out, faces())
+    return Chain(model, degree - 1, chain._denom, out)
 
 
 @dataclass(frozen=True)
@@ -403,7 +389,7 @@ def push_forward(hom: GroupHomomorphism, chain: Chain) -> Chain:
     for simplex, num in chain._numer.items():
         image = tuple(apply(v) for v in simplex)
         out[image] = out.get(image, 0) + num
-    return Chain._raw(hom.target, chain.degree, chain._denom, out)
+    return Chain(hom.target, chain.degree, chain._denom, out)
 
 
 def kernel_ball_count(hom: GroupHomomorphism, radius: int,

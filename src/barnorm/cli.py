@@ -19,9 +19,12 @@ one row per trial, floats with 12 significant digits, exact rationals as
 functions of the configuration; the summary's wall time is the only
 non-reproducible output.  Exit status is 0 iff every asserted check held.
 
-A JSON config file may supply any long-option value (keys use underscores);
-explicit command-line flags win.  The environment variable
-``BARNORM_ENUM_CAP`` overrides the default enumeration cap.
+A JSON config file may supply any long-option value (keys use underscores,
+e.g. ``growth_degree``; the ``--N`` option's key is ``annuli_degree``);
+explicit command-line flags win.  A key that names no option of any command
+is rejected with exit status 2 before anything runs.  The environment
+variable ``BARNORM_ENUM_CAP`` overrides the default enumeration cap; a value
+that is not an integer is rejected the same way.
 """
 
 from __future__ import annotations
@@ -80,7 +83,13 @@ def _parse_exponent(text: str) -> float:
 
 def _default_cap() -> int:
     env = os.environ.get("BARNORM_ENUM_CAP")
-    return int(env) if env else DEFAULT_ENUM_CAP
+    if not env:
+        return DEFAULT_ENUM_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(
+            f"BARNORM_ENUM_CAP must be an integer, got {env!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,10 +236,22 @@ def _run_suite(args) -> dict:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as exc:  # a malformed BARNORM_ENUM_CAP
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     probe, _ = parser.parse_known_args(argv)
     if probe.config is not None:
         config = json.loads(Path(probe.config).read_text(encoding="utf-8"))
+        known = {action.dest
+                 for p in (parser, *parser.suite_parsers.values())
+                 for action in p._actions}
+        unknown = sorted(set(config) - known)
+        if unknown:
+            print(f"error: config keys name no option: {', '.join(unknown)}",
+                  file=sys.stderr)
+            return 2
         for key, value in config.items():
             if key in ("outdir", "chain", "emit_chain", "config"):
                 config[key] = Path(value)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from math import inf, lcm
 
-from .chains import Chain, boundary
+from .chains import Chain, _accumulate, boundary
 from .errors import EmptyAnnulus, EnumerationTooLarge
 from .groups import DEFAULT_ENUM_CAP, GroupModel
 from .norms import INF, diameter_map, leq_with_slack, weighted_norm
@@ -194,7 +194,7 @@ class DiffusionOperator:
             raise AssertionError(
                 "cone outputs collided; the accumulation control is broken"
             )
-        return Chain._raw(model, degree + 1, chain._denom * common, out)
+        return Chain(model, degree + 1, chain._denom * common, out)
 
     def chain_map(self, chain: Chain) -> Chain:
         """id − ∂∘cone − cone∘∂, computed exactly.
@@ -280,11 +280,7 @@ class DiffusionOperator:
         translate = model.left_multiply_all
 
         def accumulate(keys, value):
-            for key in keys:
-                if key in out:
-                    out[key] += value
-                else:
-                    out[key] = value
+            _accumulate(out, zip(keys, repeat(value)))
 
         for s, num, r_s, kept_faces, cone_jobs in sources:
             zinv = self._annulus_inverses(r_s)
@@ -299,7 +295,7 @@ class DiffusionOperator:
                 face_value = multiple * (common // sizes[r_f])
                 fts = [translate(zinv_f, v) for v in face]
                 accumulate(zip(zinv_f, *fts), face_value)
-        return Chain._raw(model, degree, chain._denom * common, out)
+        return Chain(model, degree, chain._denom * common, out)
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -358,17 +354,25 @@ class DiffusionOperator:
 
     def estimate_report(self, chain: Chain, n: int, p, q,
                         ratio_exponent: int) -> "DiffusionReport":
-        """Assert the explicit bound ‖cone(c)‖_{n,p} <= 2^{n/p}·‖c‖_{N·n,p}
-        (a theorem for every model and every degree) and report, without
-        asserting, the smoothing ratios against the (ratio_exponent, q) and
-        (ratio_exponent, p) norms of ``c`` and ``∂c``.  The asymptotic
-        constants behind those ratios exist only for exponential growth at
-        large ``N``, so they are observational here.
+        """One diffusion trial on ``chain``, each operator applied once.
+
+        Builds ``cone(c)``, ``∂cone(c)``, ``∂c`` and ``cone(∂c)`` a single
+        time and checks the homotopy identity ``c − chain_map(c) =
+        ∂cone(c) + cone(∂c)`` against the fused :meth:`chain_map` in exact
+        arithmetic (``homotopy_exact``; the cone itself is returned as
+        ``cone``).  Asserts the explicit bound ‖cone(c)‖_{n,p} <=
+        2^{n/p}·‖c‖_{N·n,p} (a theorem for every model and every degree)
+        and reports, without asserting, the smoothing ratios against the
+        (ratio_exponent, q) and (ratio_exponent, p) norms of ``c`` and
+        ``∂c``.  The asymptotic constants behind those ratios exist only
+        for exponential growth at large ``N``, so they are observational
+        here.
         """
         if not p < q:
             raise ValueError(f"need p < q, got p={p}, q={q}")
         model = chain.model
         n_deg = self.config.degree
+        fused = self.chain_map(chain)
         coned = self.cone(chain)
         d_coned = boundary(coned)
         if chain.degree >= 1:
@@ -378,6 +382,7 @@ class DiffusionOperator:
         mapped = chain - d_coned
         if d_chain:
             mapped = mapped - self.cone(d_chain)
+        homotopy_exact = fused == mapped
 
         diams_c = diameter_map(chain)
         lhs = weighted_norm(coned, n, p)
@@ -403,6 +408,8 @@ class DiffusionOperator:
             ratio_map=ratio(weighted_norm(mapped, n, p), base_q, d_base_q),
             ratio_cone=ratio(lhs, base_p, d_base_p),
             ratio_boundary_cone=ratio(weighted_norm(d_coned, n, p), base_p, d_base_p),
+            homotopy_exact=homotopy_exact,
+            cone=coned,
         )
 
 
@@ -430,16 +437,5 @@ class DiffusionReport:
     ratio_map: float
     ratio_cone: float
     ratio_boundary_cone: float
-
-    def as_dict(self) -> dict:
-        return {
-            "lhs": self.bound_lhs,
-            "rhs": self.bound_rhs,
-            "constant": 2.0 ** (self.n / self.p) if self.p != INF else 1.0,
-            "exponent_m": self.annuli_degree * self.n,
-            "ok": self.bound_ok,
-            "conforming": self.conforming,
-            "ratio_map": self.ratio_map,
-            "ratio_cone": self.ratio_cone,
-            "ratio_boundary_cone": self.ratio_boundary_cone,
-        }
+    homotopy_exact: bool
+    cone: Chain

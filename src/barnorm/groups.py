@@ -66,6 +66,10 @@ class GroupModel:
     def inverse(self, g):
         raise NotImplementedError
 
+    def _left_divide(self, g, h):
+        """``g⁻¹h``; the re-based 0th face of the bar boundary."""
+        return self.multiply(self.inverse(g), h)
+
     def power(self, g, n: int):
         if n < 0:
             return self.power(self.inverse(g), -n)
@@ -236,6 +240,14 @@ class FreeGroup(GroupModel):
     def inverse(self, g):
         return tuple(map(_negate, reversed(g)))
 
+    def _left_divide(self, g, h):
+        # a reduced word h = g·w has g⁻¹h = w; cone simplices
+        # [e, z⁻¹, z⁻¹g1, …] mostly take this path
+        n = len(g)
+        if h[:n] == g:
+            return h[n:]
+        return self.multiply(self.inverse(g), h)
+
     def left_multiply_all(self, prefixes, g) -> list:
         # only prefixes ending in the inverse of g's first letter cancel;
         # everything else is plain concatenation
@@ -342,6 +354,9 @@ class FreeAbelian(GroupModel):
     def inverse(self, g):
         return tuple(-a for a in g)
 
+    def _left_divide(self, g, h):
+        return tuple(b - a for a, b in zip(g, h))
+
     def word_length(self, g) -> int:
         return sum(abs(a) for a in g)
 
@@ -422,6 +437,9 @@ class Cyclic(GroupModel):
 
     def inverse(self, g):
         return (-g) % self.modulus
+
+    def _left_divide(self, g, h):
+        return (h - g) % self.modulus
 
     def word_length(self, g) -> int:
         return min(g, self.modulus - g)

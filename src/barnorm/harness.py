@@ -10,17 +10,15 @@ produce identical rows.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .chains import (
     Chain,
     GroupHomomorphism,
-    KernelControl,
-    boundary,
     identity_homomorphism,
-    kernel_control_constant,
+    with_kernel_control,
 )
 from .diffusion import AnnuliConfig, DiffusionOperator
 from .groups import DEFAULT_ENUM_CAP, FreeAbelian, FreeGroup, Cyclic, growth_constant, parse_model
@@ -96,20 +94,12 @@ def random_chain(model, spec: RandomChainSpec, rng: random.Random,
 
 def _hom_abelian2_to_z() -> GroupHomomorphism:
     hom = GroupHomomorphism(FreeAbelian(2), FreeAbelian(1), [(1,), (0,)])
-    constant = kernel_control_constant(hom, 1, 10)
-    return GroupHomomorphism(
-        hom.source, hom.target, hom.images,
-        KernelControl(1, constant, 10),
-    )
+    return with_kernel_control(hom, 1, 10)
 
 
 def _hom_z_to_cyclic5() -> GroupHomomorphism:
-    hom = GroupHomomorphism(FreeAbelian(1), Cyclic(5), [1])
-    constant = kernel_control_constant(hom, 1, 10)
-    return GroupHomomorphism(
-        hom.source, hom.target, hom.images,
-        KernelControl(1, constant, 10),
-    )
+    return with_kernel_control(
+        GroupHomomorphism(FreeAbelian(1), Cyclic(5), [1]), 1, 10)
 
 
 EXAMPLE_HOMOMORPHISMS = {
@@ -129,6 +119,23 @@ def example_homomorphism(name: str) -> GroupHomomorphism:
 
 
 # -- suites ------------------------------------------------------------------
+
+
+def _run_trials(model, spec: RandomChainSpec, trials: int, seed: int,
+                check, cap: int = DEFAULT_ENUM_CAP,
+                input_chain: Optional[Chain] = None):
+    """Rows of ``check(chain)`` for ``trials`` chains drawn in order from
+    ``Random(seed)`` (or for ``input_chain`` alone, when given), each
+    prefixed with its trial number, and the number of rows not ``ok``."""
+    if input_chain is not None:
+        chains = [input_chain]
+    else:
+        rng = random.Random(seed)
+        chains = (random_chain(model, spec, rng, cap) for _ in range(trials))
+    rows = [{"trial": trial, **check(chain)}
+            for trial, chain in enumerate(chains)]
+    return rows, sum(not row["ok"] for row in rows)
+
 
 GROWTH_SCHEMA = ("r", "sphere_size", "ball_size", "ratio")
 
@@ -157,22 +164,19 @@ CONTRACTIVITY_SCHEMA = (
 def run_contractivity(model_desc: str, k: int, n: int, p, q,
                       trials: int, seed: int, radius: int = 3,
                       support: int = 8):
-    model = parse_model(model_desc)
-    spec = RandomChainSpec(degree=k, support=support, radius=radius)
-    rng = random.Random(seed)
-    rows = []
-    violations = 0
-    for trial in range(trials):
-        chain = random_chain(model, spec, rng)
+    def check(chain):
         report = check_contractivity(chain, n, p, q)
-        violations += not report.ok
-        rows.append({
-            "trial": trial, "k": k, "n": n, "p": p, "q": q,
+        return {
+            "k": k, "n": n, "p": p, "q": q,
             "norm_p": report.norm_p, "norm_q": report.norm_q,
             "ceil_m": report.ceil_exponent,
             "norm_sup": report.norm_sup, "norm_ceil": report.norm_ceil,
             "ok": report.ok,
-        })
+        }
+
+    spec = RandomChainSpec(degree=k, support=support, radius=radius)
+    rows, violations = _run_trials(
+        parse_model(model_desc), spec, trials, seed, check)
     return rows, violations, {}
 
 
@@ -186,20 +190,18 @@ def run_compare(model_desc: str, growth_degree: int, k: int, n: int, p, q,
                 constant_r_max: int = 10):
     model = parse_model(model_desc)
     constant = growth_constant(model, growth_degree, constant_r_max)
-    spec = RandomChainSpec(degree=k, support=support, radius=radius)
-    rng = random.Random(seed)
-    rows = []
-    violations = 0
-    for trial in range(trials):
-        chain = random_chain(model, spec, rng)
+
+    def check(chain):
         report = verify_comparison(chain, n, p, q, growth_degree, constant)
-        violations += not report.ok
-        rows.append({
-            "trial": trial, "k": k, "n": n, "p": p, "q": q,
+        return {
+            "k": k, "n": n, "p": p, "q": q,
             "m": report.exponent_m, "constant": report.constant,
             "lhs": report.lhs, "rhs": report.rhs, "ratio": report.ratio,
             "ok": report.ok,
-        })
+        }
+
+    spec = RandomChainSpec(degree=k, support=support, radius=radius)
+    rows, violations = _run_trials(model, spec, trials, seed, check)
     return rows, violations, {"growth_constant": constant}
 
 
@@ -212,22 +214,20 @@ PUSHFORWARD_SCHEMA = (
 def run_pushforward(hom_name: str, k: int, n: int, p, trials: int, seed: int,
                     radius: int = 6, support: int = 8):
     hom = example_homomorphism(hom_name)
-    spec = RandomChainSpec(degree=k, support=support, radius=radius)
-    rng = random.Random(seed)
-    rows = []
-    violations = 0
-    for trial in range(trials):
-        chain = random_chain(hom.source, spec, rng)
+
+    def check(chain):
         report = verify_pushforward_estimate(hom, chain, n, p)
-        violations += not report.ok
-        rows.append({
-            "trial": trial, "hom": hom_name, "k": k, "n": n, "p": p,
+        return {
+            "hom": hom_name, "k": k, "n": n, "p": p,
             "m": report.exponent_m, "constant": report.constant,
             "lhs": report.lhs, "rhs": report.rhs, "exact": report.exact,
             "ratio_primary": report.ratio_primary,
             "ratio_alternate": report.ratio_alternate,
             "ok": report.ok,
-        })
+        }
+
+    spec = RandomChainSpec(degree=k, support=support, radius=radius)
+    rows, violations = _run_trials(hom.source, spec, trials, seed, check)
     return rows, violations, {"kernel_control": hom.kernel_control}
 
 
@@ -246,9 +246,11 @@ def run_diffuse(model_desc: str, annuli_degree: int, degree: int, n: int, p, q,
     """Homotopy-identity and explicit-bound checks for the cone operator.
 
     When ``input_chain`` is given it is used as the single trial; otherwise
-    ``trials`` random chains are drawn.  The homotopy identity is verified
-    by comparing the fused chain map against the freshly composed boundary
-    and cone operators, in exact arithmetic.
+    ``trials`` random chains are drawn.  Each trial is one call to
+    :meth:`DiffusionOperator.estimate_report`, which verifies the homotopy
+    identity in exact arithmetic and asserts the explicit cone bound; a
+    trial is ok when both hold.  The extras carry the cone of the last
+    trial (``last_cone``).
     """
     model = parse_model(model_desc)
     operator = DiffusionOperator(
@@ -262,38 +264,27 @@ def run_diffuse(model_desc: str, annuli_degree: int, degree: int, n: int, p, q,
         degree=degree, support=support, radius=radius,
         max_diameter=max_diameter,
     )
-    rng = random.Random(seed)
-    rows = []
-    violations = 0
     last_cone = None
-    for trial in range(trials if input_chain is None else 1):
-        if input_chain is not None:
-            chain = input_chain
-        else:
-            chain = random_chain(model, spec, rng, cap)
-        mapped = operator.chain_map(chain)
-        coned = operator.cone(chain)
-        last_cone = coned
-        d_chain = boundary(chain) if chain.degree >= 1 else Chain.zero(model, 0)
-        rhs = boundary(coned)
-        if d_chain:
-            rhs = rhs + operator.cone(d_chain)
-        homotopy_exact = (chain - mapped) == rhs
+
+    def check(chain):
+        nonlocal last_cone
         report = operator.estimate_report(chain, n, p, q, ratio_m)
-        ok = homotopy_exact and report.bound_ok
-        violations += not ok
-        rows.append({
-            "trial": trial, "degree": chain.degree, "N": annuli_degree,
+        last_cone = report.cone
+        return {
+            "degree": chain.degree, "N": annuli_degree,
             "conforming": report.conforming, "n": n, "p": p, "q": q,
             "ratio_m": ratio_m, "support": len(chain),
-            "cone_support": len(coned),
-            "homotopy_exact": homotopy_exact,
+            "cone_support": len(report.cone),
+            "homotopy_exact": report.homotopy_exact,
             "bound_lhs": report.bound_lhs, "bound_rhs": report.bound_rhs,
             "bound_ok": report.bound_ok,
             "ratio_map": report.ratio_map, "ratio_cone": report.ratio_cone,
             "ratio_boundary_cone": report.ratio_boundary_cone,
-            "ok": ok,
-        })
+            "ok": report.homotopy_exact and report.bound_ok,
+        }
+
+    rows, violations = _run_trials(
+        model, spec, trials, seed, check, cap, input_chain)
     return rows, violations, {"last_cone": last_cone}
 
 
@@ -315,18 +306,18 @@ def run_f2(levels: int, norm_params: Iterable[tuple[int, float]]):
             "max_word_length": max(len(w) for w in data.words),
             "markers_injective": len(set(data.markers.values())) == len(data.words),
         })
+    # decay_table asserts the telescoping identity at every level 0..levels
+    # (and the support envelope of every row); a failed assertion is one
+    # violation, reported the same way at every level
     telescoping_ok = True
-    try:
-        for d in range(levels):
-            construction.boundary_tail(d)
-    except AssertionError:
-        telescoping_ok = False
-    decay_rows = []
+    table = []
     if levels >= 1:
-        for row in construction.decay_table(levels, norm_params):
-            record = row.as_dict()
-            record["telescoping_ok"] = telescoping_ok
-            decay_rows.append(record)
+        try:
+            table = construction.decay_table(levels, norm_params)
+        except AssertionError:
+            telescoping_ok = False
+    decay_rows = [{**asdict(row), "telescoping_ok": telescoping_ok}
+                  for row in table]
     violations = int(not telescoping_ok)
     violations += sum(0 if r["markers_injective"] else 1 for r in level_rows)
     return level_rows, decay_rows, violations

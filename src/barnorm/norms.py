@@ -163,14 +163,6 @@ class ContractivityReport:
     ceil_exponent: int
     ok: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "lhs": self.norm_q,
-            "rhs": self.norm_p,
-            "constant": 1.0,
-            "exponent_m": self.ceil_exponent,
-            "ok": self.ok,
-        }
 
 
 def check_contractivity(chain: Chain, n: int, p, q) -> ContractivityReport:
@@ -226,16 +218,6 @@ class InequalityReport:
     def ratio(self) -> float:
         return self.lhs / self.rhs if self.rhs else (0.0 if not self.lhs else INF)
 
-    def as_dict(self) -> dict:
-        out = {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "constant": self.constant,
-            "exponent_m": self.exponent_m,
-            "ok": self.ok,
-        }
-        out.update(self.extras)
-        return out
 
 
 def verify_comparison(chain: Chain, n: int, p, q, growth_degree: int,
@@ -362,17 +344,6 @@ class PushforwardReport:
     ratio_primary: float
     ratio_alternate: float
 
-    def as_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "constant": self.constant,
-            "exponent_m": self.exponent_m,
-            "ok": self.ok,
-            "exact": self.exact,
-            "ratio_primary": self.ratio_primary,
-            "ratio_alternate": self.ratio_alternate,
-        }
 
 
 def verify_pushforward_estimate(hom: GroupHomomorphism, chain: Chain,

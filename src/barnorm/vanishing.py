@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .chains import Chain, boundary
 from .errors import CollisionDetected
@@ -167,17 +167,10 @@ class VanishingConstruction:
         return chunk
 
     def partial_sum(self, top_level: int) -> Chain:
-        """b(D): the weighted sum of all chunks through ``top_level``."""
-        total = Chain.zero(self.model, 2)
-        expected = 0
-        for d in range(top_level + 1):
-            total = total + self.level_chunk(d)
-            expected += 2 * 4**d
-        if len(total) != expected:
-            raise CollisionDetected(
-                f"partial sum through level {top_level} has support "
-                f"{len(total)}, expected {expected}"
-            )
+        """b(D): the weighted sum of all chunks through ``top_level``, taken
+        from the telescoping pass (so every level's checks run)."""
+        for _, _, total, _ in self._telescope(top_level):
+            pass
         return total
 
     def edge_sum(self, d: int) -> Chain:
@@ -197,14 +190,40 @@ class VanishingConstruction:
 
             ∂b(D) = [e,α] − Σ_{y in level D+1} ε(y)/2^{D+1} · [e,y].
         """
-        bd = boundary(self.partial_sum(top_level))
+        for _, _, _, tail in self._telescope(top_level):
+            pass
+        return tail
+
+    def _telescope(self, top_level: int) -> Iterator[tuple]:
+        """Yield ``(d, chunk(d), b(d), ∂b(d) − [e,α])`` for d = 0..top_level.
+
+        The boundary is accumulated as ``∂b(d) = ∂b(d−1) + ∂chunk(d)``, so
+        every chunk's boundary and every ``edge_sum(d+1)`` is built once.
+        At each level the support of ``b(d)`` must count ``2·Σ 4^i``
+        (``CollisionDetected`` otherwise) and the telescoping identity must
+        hold exactly (``AssertionError`` otherwise).
+        """
+        if top_level < 0:
+            raise ValueError("top level must be >= 0")
         generator_edge = Chain.single(self.model, (ALPHA,))
-        expected = generator_edge - self.edge_sum(top_level + 1)
-        if bd != expected:
-            raise AssertionError(
-                f"telescoping identity failed at level {top_level}"
-            )
-        return bd - generator_edge
+        total = Chain.zero(self.model, 2)
+        bd = Chain.zero(self.model, 1)
+        expected = 0
+        for d in range(top_level + 1):
+            chunk = self.level_chunk(d)
+            total = total + chunk
+            expected += 2 * 4**d
+            if len(total) != expected:
+                raise CollisionDetected(
+                    f"partial sum through level {d} has support "
+                    f"{len(total)}, expected {expected}"
+                )
+            bd = bd + boundary(chunk)
+            if bd != generator_edge - self.edge_sum(d + 1):
+                raise AssertionError(
+                    f"telescoping identity failed at level {d}"
+                )
+            yield d, chunk, total, bd - generator_edge
 
     # -- decay reporting ------------------------------------------------------
 
@@ -212,25 +231,30 @@ class VanishingConstruction:
                     norm_params: Iterable[tuple[int, float]]) -> list["DecayRow"]:
         """Increment and tail norms for levels 1..max_level.
 
-        Each row checks the realized increment norm against the counted
+        The table is built on one telescoping pass through ``max_level``,
+        so it asserts the exact identity at every level 0..max_level and
+        raises ``AssertionError`` at the first level where it fails.  Each
+        row checks the realized increment norm against the counted
         support envelope ``(support · max|coeff|^p · max diam^n)^{1/p}``,
         which is an unconditional upper bound; for p > 2 the rows record
         from which level onward the observed increments strictly decrease
-        (at weight degree 0 that is level 1).
+        (at weight degree 0 that is level 1).  Rows are ordered by norm
+        pair, then by level.
         """
         norm_params = list(norm_params)
-        rows: list[DecayRow] = []
-        for n, p in norm_params:
-            increments = []
-            tails = []
-            envelopes = []
-            for d in range(1, max_level + 1):
-                chunk = self.level_chunk(d)
-                diams = diameter_map(chunk)
+        # per norm pair: increment norms, tail norms, envelopes by level
+        columns = [([], [], []) for _ in norm_params]
+        for d, chunk, _, tail in self._telescope(max_level):
+            if d == 0:
+                continue
+            diams = diameter_map(chunk)
+            tail_diams = diameter_map(tail)
+            max_coeff = float(max(abs(c) for _, c in chunk.terms()))
+            max_diam = max(diams.values())
+            for (n, p), (increments, tails, envelopes) in zip(norm_params,
+                                                               columns):
                 inc = weighted_norm(chunk, n, p, diams)
-                tail = weighted_norm(self.boundary_tail(d), n, p)
-                max_coeff = float(max(abs(c) for _, c in chunk.terms()))
-                max_weight = 1 if n == 0 else max(diams.values()) ** n
+                max_weight = 1 if n == 0 else max_diam**n
                 if p == INF:
                     envelope = max_coeff * max_weight
                 else:
@@ -243,8 +267,11 @@ class VanishingConstruction:
                         f"{envelope} at level {d}, (n,p)=({n},{p})"
                     )
                 increments.append(inc)
-                tails.append(tail)
+                tails.append(weighted_norm(tail, n, p, tail_diams))
                 envelopes.append(envelope)
+            del tail, diams, tail_diams  # not kept alive into the next level
+        rows: list[DecayRow] = []
+        for (n, p), (increments, tails, envelopes) in zip(norm_params, columns):
             decreasing_from = _strictly_decreasing_from(increments)
             for i, d in enumerate(range(1, max_level + 1)):
                 rows.append(DecayRow(
@@ -277,14 +304,3 @@ class DecayRow:
     tail_norm: float
     envelope: float
     decreasing_from: Optional[int]
-
-    def as_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "n": self.n,
-            "p": self.p,
-            "increment_norm": self.increment_norm,
-            "tail_norm": self.tail_norm,
-            "envelope": self.envelope,
-            "decreasing_from": self.decreasing_from,
-        }

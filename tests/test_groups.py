@@ -56,6 +56,19 @@ class TestMultiplication:
             assert model.multiply(model.identity, g) == g
             assert model.multiply(g, model.inverse(g)) == model.identity
 
+    @pytest.mark.parametrize("model,radius", [
+        (F2, 3), (Z2, 3), (Z7, 3),
+        (DirectProduct([F2, Z5]), 2),
+    ])
+    def test_left_divide_is_inverse_times(self, model, radius):
+        # the boundary's re-based 0th face; free words sharing a prefix
+        # take the shortcut, every other pair falls back to the group law
+        ball = model.ball(radius)
+        for g in ball:
+            for h in ball:
+                assert model._left_divide(g, h) == \
+                    model.multiply(model.inverse(g), h)
+
     def test_power(self):
         assert F2.power((1,), 5) == (1,) * 5
         assert F2.power((1,), -2) == (-1, -1)

@@ -1,11 +1,14 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from barnorm import cli, harness
-from barnorm.chains import chain_from_records
+from barnorm.chains import boundary, chain_from_records
+from barnorm.diffusion import DiffusionOperator
 from barnorm.groups import FreeGroup, parse_model
 from barnorm.harness import (
     EXAMPLE_HOMOMORPHISMS,
@@ -13,8 +16,23 @@ from barnorm.harness import (
     example_homomorphism,
     random_chain,
 )
+from barnorm.vanishing import VanishingConstruction
 
 F2 = FreeGroup(2)
+DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
+
+
+def count_calls(monkeypatch, cls, name):
+    """Record the arguments of every call to ``cls.name`` (still run)."""
+    calls = []
+    original = getattr(cls, name)
+
+    def wrapper(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
 
 
 class TestRandomChains:
@@ -108,6 +126,20 @@ class TestSuites:
         assert violations == 0
         assert all(r["homotopy_exact"] and r["bound_ok"] for r in rows)
         assert extras["last_cone"] is not None
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_diffuse_cones_each_chain_once(self, monkeypatch, degree):
+        cones = count_calls(monkeypatch, DiffusionOperator, "cone")
+        rows, violations, _ = harness.run_diffuse(
+            "free:2", annuli_degree=2, degree=degree, n=1, p=2, q=4,
+            trials=4, seed=5, radius=2, support=3)
+        assert violations == 0
+        spec = RandomChainSpec(degree=degree, support=3, radius=2,
+                               max_diameter=2)
+        rng = random.Random(5)
+        chains = [random_chain(F2, spec, rng) for _ in range(4)]
+        # cone(c) per trial, plus cone(∂c) where ∂c is nonzero
+        assert len(cones) == sum(1 + bool(boundary(c)) for c in chains)
 
     def test_f2(self):
         level_rows, decay_rows, violations = harness.run_f2(3, [(0, 3)])
@@ -203,6 +235,58 @@ class TestCli:
                         "--outdir", str(tmp_path / "explicit"))
         assert code == 0
         assert (tmp_path / "explicit" / "growth.csv").exists()
+
+    def test_f2_builds_each_edge_sum_once(self, tmp_path, monkeypatch):
+        edge_sums = count_calls(monkeypatch, VanishingConstruction, "edge_sum")
+        code = self.run("f2-vanish", "--levels", "4", "--norms", "0:3,0:2",
+                        "--outdir", str(tmp_path))
+        assert code == 0
+        # the telescoping identity at levels 0..4 needs edge sums 1..5
+        assert sorted(edge_sums) == [(d,) for d in range(1, 6)]
+
+    @pytest.mark.parametrize("broken_level", [0, 2])
+    def test_f2_telescoping_failure_is_one_violation(
+            self, tmp_path, monkeypatch, broken_level):
+        original = VanishingConstruction.edge_sum
+
+        def edge_sum(self, d):
+            chain = original(self, d)
+            # the identity at level D compares against edge_sum(D + 1)
+            return chain.scale(2) if d == broken_level + 1 else chain
+
+        monkeypatch.setattr(VanishingConstruction, "edge_sum", edge_sum)
+        code = self.run("f2-vanish", "--levels", "4", "--norms", "0:3",
+                        "--outdir", str(tmp_path))
+        assert code == 1
+        summary = json.loads((tmp_path / "f2-levels_summary.json").read_text())
+        assert summary["violations"] == 1
+        decay = (tmp_path / "f2-decay.csv").read_text().splitlines()
+        assert not any(line.endswith(",true") for line in decay)
+
+    def test_f2_outputs_match_pinned_digests(self, tmp_path):
+        command = "f2-vanish --levels 7 --norms 0:3,0:2,1:2.5"
+        expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[command]
+        assert self.run(*command.split(), "--outdir", str(tmp_path)) == 0
+        for name, digest in expected.items():
+            data = (tmp_path / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"modle": "free:2", "trails": 3}))
+        code = self.run("--config", str(config), "norms",
+                        "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert "modle, trails" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_cap_environment_rejected(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setenv("BARNORM_ENUM_CAP", "abc")
+        code = self.run("growth", "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert "BARNORM_ENUM_CAP" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_all_reproducible(self, tmp_path):
         for sub in ("one", "two"):
