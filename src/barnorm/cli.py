@@ -21,10 +21,12 @@ non-reproducible output.  Exit status is 0 iff every asserted check held.
 
 A JSON config file may supply any long-option value (keys use underscores,
 e.g. ``growth_degree``; the ``--N`` option's key is ``annuli_degree``);
-explicit command-line flags win.  A key that names no option of any command
-is rejected with exit status 2 before anything runs.  The environment
-variable ``BARNORM_ENUM_CAP`` overrides the default enumeration cap; a value
-that is not an integer is rejected the same way.
+explicit command-line flags win.  A config file that is missing or
+unreadable, is not valid JSON, or does not hold a JSON object, and a key
+that names no option of any command, are rejected with exit status 2 before
+anything runs.  The environment variable ``BARNORM_ENUM_CAP`` overrides the
+default enumeration cap; a value that is not an integer is rejected the same
+way.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from pathlib import Path
 from . import harness
 from .chains import chain_from_records, chain_to_records
 from .groups import DEFAULT_ENUM_CAP, parse_model
-from .norms import INF, NormParams
+from .norms import INF, NormParams, _exponent_from_text
 
 
 def _format_value(value) -> str:
@@ -73,12 +75,6 @@ def write_summary(path: Path, suite: str, trials: int, violations: int,
         "wall_time_ms": wall_time_ms,
     }
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def _parse_exponent(text: str) -> float:
-    if text.strip() in ("inf", "oo"):
-        return INF
-    return float(Fraction(text))
 
 
 def _default_cap() -> int:
@@ -119,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="free:2")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--p", type=_parse_exponent, default=2.0)
-    p.add_argument("--q", type=_parse_exponent, default=4.0)
+    p.add_argument("--p", type=_exponent_from_text, default=2.0)
+    p.add_argument("--q", type=_exponent_from_text, default=4.0)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--radius", type=int, default=3)
     p.add_argument("--support", type=int, default=8)
@@ -131,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--growth-degree", type=int, default=2)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--p", type=_parse_exponent, default=2.0)
-    p.add_argument("--q", type=_parse_exponent, default=4.0)
+    p.add_argument("--p", type=_exponent_from_text, default=2.0)
+    p.add_argument("--q", type=_exponent_from_text, default=4.0)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--radius", type=int, default=8)
     p.add_argument("--support", type=int, default=10)
@@ -143,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(harness.EXAMPLE_HOMOMORPHISMS))
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--p", type=_parse_exponent, default=1.0)
+    p.add_argument("--p", type=_exponent_from_text, default=1.0)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--radius", type=int, default=6)
     p.add_argument("--support", type=int, default=8)
@@ -155,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="annuli degree (values <= 10 are flagged non-conforming)")
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--p", type=_parse_exponent, default=2.0)
-    p.add_argument("--q", type=_parse_exponent, default=4.0)
+    p.add_argument("--p", type=_exponent_from_text, default=2.0)
+    p.add_argument("--q", type=_exponent_from_text, default=4.0)
     p.add_argument("--ratio-m", type=int, default=None)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--radius", type=int, default=2)
@@ -243,7 +239,13 @@ def main(argv=None) -> int:
         return 2
     probe, _ = parser.parse_known_args(argv)
     if probe.config is not None:
-        config = json.loads(Path(probe.config).read_text(encoding="utf-8"))
+        try:
+            config = json.loads(probe.config.read_text(encoding="utf-8"))
+            if not isinstance(config, dict):
+                raise ValueError("the top level is not a JSON object")
+        except (OSError, ValueError) as exc:  # missing, unreadable, not JSON
+            print(f"error: config file {probe.config}: {exc}", file=sys.stderr)
+            return 2
         known = {action.dest
                  for p in (parser, *parser.suite_parsers.values())
                  for action in p._actions}

@@ -36,7 +36,7 @@ from math import inf, lcm
 from .chains import Chain, _accumulate, boundary
 from .errors import EmptyAnnulus, EnumerationTooLarge
 from .groups import DEFAULT_ENUM_CAP, GroupModel
-from .norms import INF, diameter_map, leq_with_slack, weighted_norm
+from .norms import _ratio, diameter_map, leq_with_slack, weighted_norm
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,6 @@ class DiffusionOperator:
             self._annuli_inv[r] = tuple(inv(z) for z in elements)
             return elements
 
-    def _annulus_inverses(self, r: int) -> tuple:
-        self.annulus(r)
-        return self._annuli_inv[r]
-
     def check_annuli_disjoint(self, radii) -> None:
         """Verify that the annuli for the given indices are pairwise disjoint
         (exact interval comparison; no enumeration)."""
@@ -147,6 +143,27 @@ class DiffusionOperator:
                 raise RuntimeError(
                     f"annuli for r={r1} and r={r2} overlap at N={n}"
                 )
+
+    def _scaled_annuli(self, radii) -> tuple[int, dict]:
+        """Put the annulus averages over ``radii`` on one denominator.
+
+        Checks that the annuli are disjoint and nonempty, and returns the
+        lcm of their sizes with, per radius, the inverted annulus and the
+        scale lcm // |Z_r| of its cone coefficients.
+        """
+        self.check_annuli_disjoint(radii)
+        sizes = {}
+        for r in radii:
+            size = len(self.annulus(r))
+            if size == 0:
+                raise EmptyAnnulus(
+                    f"annulus(r={r}, N={self.config.degree}) of "
+                    f"{self.model.describe()} is empty"
+                )
+            sizes[r] = size
+        common = lcm(*sizes.values())
+        return common, {r: (self._annuli_inv[r], common // size)
+                        for r, size in sizes.items()}
 
     # -- operators -----------------------------------------------------------
 
@@ -162,34 +179,18 @@ class DiffusionOperator:
         by_radius: dict[int, list] = {}
         for s, num in chain._numer.items():
             by_radius.setdefault(diam(s), []).append((s, num))
-        radii = sorted(by_radius)
-        self.check_annuli_disjoint(radii)
-        sizes = {}
-        for r in radii:
-            size = len(self.annulus(r))
-            if size == 0:
-                raise EmptyAnnulus(
-                    f"annulus(r={r}, N={self.config.degree}) of "
-                    f"{model.describe()} is empty"
-                )
-            sizes[r] = size
-        common = 1
-        for size in sizes.values():
-            common = lcm(common, size)
+        common, scaled = self._scaled_annuli(sorted(by_radius))
         # Distinct cone points give distinct first vertices after re-basing
         # and equal cone points force equal sources, so cone output keys
         # never collide; the dict can be assembled without accumulation.
         out: dict[tuple, int] = {}
-        translate = model.left_multiply_all
+        mul = model.multiply
         expected = 0
-        for r in radii:
-            zinv = self._annulus_inverses(r)
-            scale = common // sizes[r]
-            expected += sizes[r] * len(by_radius[r])
+        for r, (zinv, scale) in scaled.items():
+            expected += len(zinv) * len(by_radius[r])
             for s, num in by_radius[r]:
-                value = num * scale
-                translated = [translate(zinv, v) for v in s]
-                out.update(zip(zip(zinv, *translated), repeat(value)))
+                translated = [map(mul, zinv, repeat(v)) for v in s]
+                out.update(zip(zip(zinv, *translated), repeat(num * scale)))
         if len(out) != expected:
             raise AssertionError(
                 "cone outputs collided; the accumulation control is broken"
@@ -221,8 +222,7 @@ class DiffusionOperator:
             return chain
         model = self.model
         diam = model.diameter
-        mul = model.multiply
-        inv = model.inverse
+        ldiv = model._left_divide
 
         # First pass: per source, its faces with merged boundary signs.
         # A face of the same diameter as its source contributes the same
@@ -255,46 +255,31 @@ class DiffusionOperator:
                 radii_needed.add(r_f)
                 kept_faces.append((face, sigma, j))
                 cone_jobs.append((face, -sigma * num, r_f))
-            g1_inv = inv(s[0])
-            rebased = tuple(mul(g1_inv, v) for v in s[1:])
+            rebased = tuple(ldiv(s[0], v) for v in s[1:])
             r_0 = diam(rebased)
             radii_needed.add(r_0)
             cone_jobs.append((rebased, -num, r_0))
             sources.append((s, num, r_s, kept_faces, cone_jobs))
 
-        self.check_annuli_disjoint(radii_needed)
-        sizes = {}
-        for r in radii_needed:
-            size = len(self.annulus(r))
-            if size == 0:
-                raise EmptyAnnulus(
-                    f"annulus(r={r}, N={self.config.degree}) of "
-                    f"{model.describe()} is empty"
-                )
-            sizes[r] = size
-        common = 1
-        for size in sizes.values():
-            common = lcm(common, size)
-
+        common, scaled = self._scaled_annuli(radii_needed)
         out: dict[tuple, int] = {}
-        translate = model.left_multiply_all
+        mul = model.multiply
 
         def accumulate(keys, value):
             _accumulate(out, zip(keys, repeat(value)))
 
         for s, num, r_s, kept_faces, cone_jobs in sources:
-            zinv = self._annulus_inverses(r_s)
-            value = num * (common // sizes[r_s])
-            translated = [translate(zinv, v) for v in s]
+            zinv, scale = scaled[r_s]
+            value = num * scale
+            translated = [list(map(mul, zinv, repeat(v))) for v in s]
             accumulate(zip(*translated), value)
             for _, sigma, j in kept_faces:
                 kept = translated[:j] + translated[j + 1 :]
                 accumulate(zip(zinv, *kept), sigma * value)
             for face, multiple, r_f in cone_jobs:
-                zinv_f = self._annulus_inverses(r_f)
-                face_value = multiple * (common // sizes[r_f])
-                fts = [translate(zinv_f, v) for v in face]
-                accumulate(zip(zinv_f, *fts), face_value)
+                zinv_f, scale_f = scaled[r_f]
+                fts = [map(mul, zinv_f, repeat(v)) for v in face]
+                accumulate(zip(zinv_f, *fts), multiple * scale_f)
         return Chain(model, degree, chain._denom * common, out)
 
     # -- diagnostics -----------------------------------------------------------
@@ -389,25 +374,20 @@ class DiffusionOperator:
         rhs = 2.0 ** (n / float(p)) * weighted_norm(chain, n_deg * n, p, diams_c)
         m = ratio_exponent
 
-        def ratio(value: float, *parts: float) -> float:
-            denom = sum(parts)
-            if denom:
-                return value / denom
-            return 0.0 if not value else inf
-
         base_q = weighted_norm(chain, m, q, diams_c)
         base_p = weighted_norm(chain, m, p, diams_c)
         d_base_q = weighted_norm(d_chain, m, q)
         d_base_p = weighted_norm(d_chain, m, p)
         return DiffusionReport(
-            n=n, p=float(p) if p != INF else INF, q=float(q) if q != INF else INF,
+            n=n, p=float(p), q=float(q),
             annuli_degree=n_deg,
             conforming=self.config.conforming,
             bound_lhs=lhs, bound_rhs=rhs,
             bound_ok=leq_with_slack(lhs, rhs),
-            ratio_map=ratio(weighted_norm(mapped, n, p), base_q, d_base_q),
-            ratio_cone=ratio(lhs, base_p, d_base_p),
-            ratio_boundary_cone=ratio(weighted_norm(d_coned, n, p), base_p, d_base_p),
+            ratio_map=_ratio(weighted_norm(mapped, n, p), base_q + d_base_q),
+            ratio_cone=_ratio(lhs, base_p + d_base_p),
+            ratio_boundary_cone=_ratio(weighted_norm(d_coned, n, p),
+                                       base_p + d_base_p),
             homotopy_exact=homotopy_exact,
             cone=coned,
         )

@@ -82,13 +82,6 @@ class GroupModel:
             n >>= 1
         return result
 
-    def left_multiply_all(self, prefixes, g) -> list:
-        """``[multiply(p, g) for p in prefixes]``; bulk hook so models can
-        shortcut the common case (used by cone-type operators on large
-        prefix families)."""
-        mul = self.multiply
-        return [mul(p, g) for p in prefixes]
-
     def validate(self, g) -> None:
         """Raise ValueError unless ``g`` is a canonical element."""
         raise NotImplementedError
@@ -247,18 +240,6 @@ class FreeGroup(GroupModel):
         if h[:n] == g:
             return h[n:]
         return self.multiply(self.inverse(g), h)
-
-    def left_multiply_all(self, prefixes, g) -> list:
-        # only prefixes ending in the inverse of g's first letter cancel;
-        # everything else is plain concatenation
-        if not g:
-            return list(prefixes)
-        banned = -g[0]
-        mul = self.multiply
-        return [
-            p + g if (p and p[-1] != banned) else mul(p, g)
-            for p in prefixes
-        ]
 
     def word_length(self, g) -> int:
         return len(g)

@@ -10,11 +10,21 @@ with the convention 0^0 := 1, so that ``n = 0`` gives the plain lp norm; for
 ``n >= 1`` degenerate simplices carry weight zero (the norms are then
 seminorms — the Fréchet family adds the boundary norm to separate points).
 
-Coefficients stay exact rationals until a norm value is needed: integer
-exponents are evaluated as exact rational power sums and rooted once at the
-end; fractional exponents use ``math.fsum``, whose correctly rounded result
-does not depend on summation order.  The infinity exponent is the distinct
-value ``math.inf`` and always takes the structurally different sup branch.
+Coefficients stay exact rationals until a norm value is needed.  Every lp
+value in this module — chain norms and the norms of fibered families alike —
+comes from one evaluator, which takes integer numerators ``a`` over a common
+denominator ``D`` with integer weights ``w`` and has three regimes:
+
+* ``p = ∞`` (the distinct value ``math.inf``): the largest ``|a|·(1/D)·w``;
+* integer ``p``: the exact rational ``Σ|a|^p·w / D^p``, rooted once at the
+  end; a sum beyond float range is rooted through its logarithm, so only a
+  root that itself exceeds float range raises ``OverflowError``;
+* fractional ``p``: ``math.fsum`` of ``(|a|·(1/D))^p·w``, whose correctly
+  rounded result does not depend on summation order.
+
+Overflow is handled only at integer ``p``.  At fractional ``p`` and at
+``p = ∞`` a value beyond float range raises ``OverflowError``, except when it
+arises as the product of a coefficient term and a weight: that reads ``inf``.
 
 Inequality verifiers return small report objects carrying both sides, the
 constant, and the weight exponent actually used; assertions allow a relative
@@ -27,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Optional
 
 from .chains import Chain, GroupHomomorphism, boundary, push_forward
@@ -57,19 +68,24 @@ class NormParams:
 
     @classmethod
     def parse(cls, text: str) -> "NormParams":
-        """Parse ``"n:p"``; ``p`` may be ``inf``."""
+        """Parse ``"n:p"``; ``p`` may be ``inf`` or a rational like ``5/2``."""
         n_text, _, p_text = text.partition(":")
-        p = INF if p_text.strip() in ("inf", "oo") else float(Fraction(p_text))
-        return cls(int(n_text), p)
-
-    def label(self) -> str:
-        p = "inf" if self.p == INF else f"{self.p:g}"
-        return f"{self.n}:{p}"
+        return cls(int(n_text), _exponent_from_text(p_text))
 
 
-def _weight(diam: int, n: int) -> int:
-    # 0^0 := 1 so that n = 0 is the plain lp norm.
-    return 1 if n == 0 else diam**n
+def _exponent_from_text(text: str) -> float:
+    """An exponent given as text: ``inf`` (or ``oo``), or a rational such as
+    ``2``, ``1.5`` or ``5/2``, as a float."""
+    if text.strip() in ("inf", "oo"):
+        return INF
+    return float(Fraction(text))
+
+
+def _ratio(lhs: float, rhs: float) -> float:
+    """``lhs / rhs`` with 0/0 read as 0 and x/0 as ∞."""
+    if rhs:
+        return lhs / rhs
+    return 0.0 if not lhs else INF
 
 
 def _exponent_as_int(p) -> Optional[int]:
@@ -82,10 +98,57 @@ def _exponent_as_int(p) -> Optional[int]:
     return None
 
 
+def _power_sum(pairs: Iterable[tuple], denom: int, p: int) -> Fraction:
+    """Exact Σ |a|^p · w / denom^p over ``(a, w)`` pairs."""
+    return Fraction(sum(abs(a) ** p * w for a, w in pairs), denom**p)
+
+
+def _lp(pairs: Iterable[tuple], denom: int, p) -> float:
+    """The lp value of ``(numerator, weight)`` pairs over the common
+    denominator ``denom``: (Σ |a/denom|^p · w)^{1/p}, or sup |a/denom| · w
+    at p = ∞; see the module docstring for the three regimes."""
+    if not p >= 1:
+        raise ValueError("exponent p must be >= 1")
+    if p == INF:
+        inv_denom = 1.0 / denom
+        return max((abs(a) * inv_denom * w for a, w in pairs), default=0.0)
+    p_int = _exponent_as_int(p)
+    if p_int is not None:
+        total = _power_sum(pairs, denom, p_int)
+        try:
+            return float(total) ** (1.0 / p_int)
+        except OverflowError:
+            # the root may still fit: take it through the logarithm
+            log_total = math.log(total.numerator) - math.log(total.denominator)
+            return math.exp(log_total / p_int)
+    p = float(p)
+    inv_denom = 1.0 / denom
+    return math.fsum((abs(a) * inv_denom) ** p * w for a, w in pairs) ** (1.0 / p)
+
+
+def _lp_of_rationals(values: Iterable[Fraction], p) -> float:
+    """The plain lp value of rationals, put over their least common
+    denominator for :func:`_lp`."""
+    values = list(values)
+    denom = math.lcm(*(v.denominator for v in values))
+    return _lp(((v.numerator * (denom // v.denominator), 1) for v in values),
+               denom, p)
+
+
 def diameter_map(chain: Chain) -> dict:
     """Diameter of every support simplex, computed once for reuse."""
     diam = chain.model.diameter
     return {s: diam(s) for s in chain._numer}
+
+
+def _weighted_pairs(chain: Chain, n: int, diameters: Optional[dict]):
+    """``(numerator, diam^n)`` per support simplex, with 0^0 := 1 so that
+    n = 0 is the plain lp norm; diameters come from ``diameters`` if given."""
+    numer = chain._numer
+    if n == 0:
+        return zip(numer.values(), repeat(1))
+    diam = chain.model.diameter if diameters is None else diameters.__getitem__
+    return zip(numer.values(), map(pow, map(diam, numer), repeat(n)))
 
 
 def weighted_power_sum(chain: Chain, n: int, p: int,
@@ -93,16 +156,7 @@ def weighted_power_sum(chain: Chain, n: int, p: int,
     """Exact value of Σ |a_g|^p · diam(g)^n for an integer exponent p."""
     if p < 1:
         raise ValueError("integer exponent must be >= 1")
-    diam = chain.model.diameter
-    denom = chain._denom
-    total = 0
-    if diameters is None:
-        for s, num in chain._numer.items():
-            total += abs(num) ** p * _weight(diam(s), n)
-    else:
-        for s, num in chain._numer.items():
-            total += abs(num) ** p * _weight(diameters[s], n)
-    return Fraction(total, denom**p)
+    return _power_sum(_weighted_pairs(chain, n, diameters), chain._denom, p)
 
 
 def weighted_norm(chain: Chain, n: int, p,
@@ -112,33 +166,7 @@ def weighted_norm(chain: Chain, n: int, p,
     ``diameters`` may carry precomputed simplex diameters when several
     norms of the same chain are evaluated.
     """
-    if not chain:
-        return 0.0
-    if p == INF:
-        diam = chain.model.diameter
-        inv_denom = 1.0 / chain._denom
-        best = 0.0
-        for s, num in chain._numer.items():
-            d = diameters[s] if diameters is not None else diam(s)
-            value = abs(num) * inv_denom * _weight(d, n)
-            if value > best:
-                best = value
-        return best
-    p_int = _exponent_as_int(p)
-    if p_int is not None:
-        total = weighted_power_sum(chain, n, p_int, diameters)
-        return float(total) ** (1.0 / p_int)
-    p = float(p)
-    if p < 1:
-        raise ValueError("exponent p must be >= 1")
-    diam = chain.model.diameter
-    inv_denom = 1.0 / chain._denom
-    terms = (
-        (abs(num) * inv_denom) ** p
-        * _weight(diameters[s] if diameters is not None else diam(s), n)
-        for s, num in chain._numer.items()
-    )
-    return math.fsum(terms) ** (1.0 / p)
+    return _lp(_weighted_pairs(chain, n, diameters), chain._denom, p)
 
 
 def frechet_seminorm(chain: Chain, n: int, p) -> float:
@@ -216,7 +244,7 @@ class InequalityReport:
 
     @property
     def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs else (0.0 if not self.lhs else INF)
+        return _ratio(self.lhs, self.rhs)
 
 
 
@@ -275,40 +303,17 @@ class FiberedFamily:
         return out
 
 
-def _lp_of_values(values: Iterable[Fraction], p) -> float:
-    values = list(values)
-    if not values:
-        return 0.0
-    if p == INF:
-        return float(max(abs(v) for v in values))
-    p_int = _exponent_as_int(p)
-    if p_int is not None:
-        return float(sum(abs(v) ** p_int for v in values)) ** (1.0 / p_int)
-    p = float(p)
-    return math.fsum(float(abs(v)) ** p for v in values) ** (1.0 / p)
-
-
 def fibered_pushforward_norm(family: FiberedFamily, p) -> float:
     """lp norm of the fiberwise coefficient sums (exact sums, rooted once)."""
-    return _lp_of_values(family.pushforward().values(), p)
+    return _lp_of_rationals(family.pushforward().values(), p)
 
 
 def pushforward_norm_bound(family: FiberedFamily, p) -> InequalityReport:
-    """Check ‖π_* f‖_p <= (Σ β(i)^p |f(i)|^p)^{1/p}."""
+    """Check ‖π_* f‖_p <= ‖β·f‖_p, i.e. (Σ β(i)^p |f(i)|^p)^{1/p} for finite
+    p and sup β(i)·|f(i)| at p = ∞."""
     lhs = fibered_pushforward_norm(family, p)
-    p_int = _exponent_as_int(p)
-    if p_int is not None:
-        total = sum(
-            family.fiber_bound[i] ** p_int * abs(family.values[i]) ** p_int
-            for i in family.index
-        )
-        rhs = float(total) ** (1.0 / p_int)
-    else:
-        pf = float(p)
-        rhs = math.fsum(
-            family.fiber_bound[i] ** pf * float(abs(family.values[i])) ** pf
-            for i in family.index
-        ) ** (1.0 / pf)
+    rhs = _lp_of_rationals(
+        (family.fiber_bound[i] * family.values[i] for i in family.index), p)
     return InequalityReport(lhs, rhs, 1.0, None, leq_with_slack(lhs, rhs))
 
 
@@ -320,9 +325,9 @@ def pushforward_holder_bound(family: FiberedFamily, weights: dict,
         raise ValueError(f"need p < q, got p={p}, q={q}")
     q_prime = 1.0 / (1.0 / float(p) - 1.0 / float(q)) if q != INF else float(p)
     product = {i: family.values[i] * weights[i] for i in family.index}
-    lhs = _lp_of_values(family.pushforward(product).values(), p)
+    lhs = _lp_of_rationals(family.pushforward(product).values(), p)
     factor_q = fibered_pushforward_norm(family, q)
-    factor_qp = _lp_of_values(family.pushforward(weights).values(), q_prime)
+    factor_qp = _lp_of_rationals(family.pushforward(weights).values(), q_prime)
     rhs = factor_q * factor_qp
     return InequalityReport(
         lhs, rhs, 1.0, None, leq_with_slack(lhs, rhs),
@@ -375,7 +380,7 @@ def verify_pushforward_estimate(hom: GroupHomomorphism, chain: Chain,
         rhs_exact = weighted_power_sum(chain, n, 1)
         lhs, rhs = float(lhs_exact), float(rhs_exact)
         ok = lhs_exact <= rhs_exact
-        ratio = lhs / rhs if rhs else (0.0 if not lhs else INF)
+        ratio = _ratio(lhs, rhs)
         return PushforwardReport(lhs, rhs, 1.0, 0, ok, True, ratio, ratio)
 
     if p == INF:
@@ -384,7 +389,7 @@ def verify_pushforward_estimate(hom: GroupHomomorphism, chain: Chain,
         lhs = weighted_norm(image, n, INF)
         rhs = constant * weighted_norm(chain, m + n, INF)
         ok = leq_with_slack(lhs, rhs)
-        ratio = lhs / rhs if rhs else (0.0 if not lhs else INF)
+        ratio = _ratio(lhs, rhs)
         return PushforwardReport(lhs, rhs, constant, m, ok, False, ratio, ratio)
 
     p_frac = Fraction(p)
@@ -401,14 +406,8 @@ def verify_pushforward_estimate(hom: GroupHomomorphism, chain: Chain,
     lhs = weighted_norm(image, n, p)
     rhs = constant ** (1.0 / pf) * source_norm
     ok = leq_with_slack(lhs, rhs)
-
-    def ratio_for(c: float) -> float:
-        bound = c ** (1.0 / pf) * source_norm
-        if bound:
-            return lhs / bound
-        return 0.0 if not lhs else INF
-
     return PushforwardReport(
         lhs, rhs, constant, m, ok, False,
-        ratio_for(candidate_hoelder), ratio_for(candidate_literal),
+        _ratio(lhs, candidate_hoelder ** (1.0 / pf) * source_norm),
+        _ratio(lhs, candidate_literal ** (1.0 / pf) * source_norm),
     )

@@ -275,7 +275,7 @@ class VanishingConstruction:
             decreasing_from = _strictly_decreasing_from(increments)
             for i, d in enumerate(range(1, max_level + 1)):
                 rows.append(DecayRow(
-                    level=d, n=n, p=float(p) if p != INF else INF,
+                    level=d, n=n, p=float(p),
                     increment_norm=increments[i],
                     tail_norm=tails[i],
                     envelope=envelopes[i],

@@ -20,6 +20,7 @@ from barnorm.vanishing import VanishingConstruction
 
 F2 = FreeGroup(2)
 DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
+PINNED = json.loads(DIGESTS.read_text(encoding="utf-8"))
 
 
 def count_calls(monkeypatch, cls, name):
@@ -263,11 +264,11 @@ class TestCli:
         decay = (tmp_path / "f2-decay.csv").read_text().splitlines()
         assert not any(line.endswith(",true") for line in decay)
 
-    def test_f2_outputs_match_pinned_digests(self, tmp_path):
-        command = "f2-vanish --levels 7 --norms 0:3,0:2,1:2.5"
-        expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[command]
+    @pytest.mark.parametrize("command", sorted(PINNED),
+                             ids=lambda command: command.split()[0])
+    def test_outputs_match_pinned_digests(self, tmp_path, command):
         assert self.run(*command.split(), "--outdir", str(tmp_path)) == 0
-        for name, digest in expected.items():
+        for name, digest in PINNED[command].items():
             data = (tmp_path / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
 
@@ -278,6 +279,18 @@ class TestCli:
                         "--outdir", str(tmp_path / "out"))
         assert code == 2
         assert "modle, trails" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                             ids=["missing", "invalid-json", "not-an-object"])
+    def test_bad_config_file_rejected(self, tmp_path, capsys, content):
+        config = tmp_path / "config.json"
+        if content is not None:
+            config.write_text(content)
+        code = self.run("--config", str(config), "growth",
+                        "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: config file {config}")
         assert not (tmp_path / "out").exists()
 
     def test_malformed_cap_environment_rejected(self, tmp_path, capsys,

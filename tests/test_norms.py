@@ -1,8 +1,10 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from barnorm.chains import (
     Chain,
@@ -98,6 +100,18 @@ class TestWeightedNorm:
                 for n in (0, 1, 2):
                     assert weighted_norm(c, n, p, diams) <= \
                         weighted_norm(c, n + 1, p, diams) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_integer_exponent_roots_sums_beyond_float_range(self, p):
+        # the power sum 12**300 exceeds float range; its root does not
+        c = Chain.single(F2, ((1,) * 12,))
+        total = weighted_power_sum(c, 300, p)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            reference = (Decimal(total.numerator) / Decimal(total.denominator)
+                         ) ** (Decimal(1) / p)
+        assert math.isclose(weighted_norm(c, 300, p), float(reference),
+                            rel_tol=1e-12)
 
     def test_deterministic_across_support_order(self):
         # same chain built in two different term orders
@@ -205,6 +219,12 @@ class TestFiberedFamily:
         report = pushforward_norm_bound(fam, 2)
         assert report.lhs == report.rhs == 5.0
 
+    def test_injective_projection_is_equality_at_infinity(self):
+        fam = FiberedFamily((1, 2), {1: "x", 2: "y"},
+                            {1: Fraction(5), 2: Fraction(1, 2)}, {1: 1, 2: 1})
+        report = pushforward_norm_bound(fam, INF)
+        assert report.lhs == report.rhs == 5.0 and report.ok
+
     def test_bound_hypothesis_validated(self):
         with pytest.raises(ValueError):
             FiberedFamily((1, 2), {1: "j", 2: "j"},
@@ -307,3 +327,42 @@ class TestNormParams:
             NormParams(-1, 2)
         with pytest.raises(ValueError):
             NormParams(0, 0.5)
+
+
+def _reference_norm(chain, n, p) -> float:
+    """The (n, p) norm from the chain's Fraction coefficients, in exact
+    rationals up to the final root."""
+    terms = [(abs(c), chain.model.diameter(s) ** n if n else 1)
+             for s, c in chain.terms()]
+    if p == INF:
+        return float(max((a * w for a, w in terms), default=0))
+    return float(sum(a**p * w for a, w in terms)) ** (1 / p)
+
+
+@st.composite
+def small_chains(draw):
+    model = draw(st.sampled_from([F2, Z2]))
+    degree = draw(st.integers(0, 2))
+    elements = model.ball(2)
+    simplex = st.tuples(*[st.sampled_from(elements)] * degree)
+    coeff = st.fractions(-6, 6, max_denominator=5).filter(bool)
+    return Chain.from_terms(model, degree,
+                            draw(st.lists(st.tuples(simplex, coeff), max_size=6)))
+
+
+class TestNormProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(small_chains(), st.sampled_from([0, 1, 2]),
+           st.sampled_from([1, 2, 3, INF]))
+    def test_weighted_norm_matches_exact_reference(self, chain, n, p):
+        value = weighted_norm(chain, n, p)
+        assert weighted_norm(chain, n, p, diameter_map(chain)) == value
+        assert math.isclose(value, _reference_norm(chain, n, p), rel_tol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_chains(), st.sampled_from([1, 2, 3, INF]))
+    def test_identity_projection_family_is_the_plain_norm(self, chain, p):
+        values = dict(chain.terms())
+        family = FiberedFamily(tuple(values), {s: s for s in values}, values,
+                               {s: 1 for s in values})
+        assert fibered_pushforward_norm(family, p) == weighted_norm(chain, 0, p)
