@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional
 
-from .groups import GroupModel
+from .groups import DEFAULT_ENUM_CAP, GroupModel
 
 
 def _as_fraction(value) -> Fraction:
@@ -393,7 +393,7 @@ def push_forward(hom: GroupHomomorphism, chain: Chain) -> Chain:
 
 
 def kernel_ball_count(hom: GroupHomomorphism, radius: int,
-                      cap: int = 10_000_000) -> int:
+                      cap: int = DEFAULT_ENUM_CAP) -> int:
     """Number of source elements of word length <= radius mapping to e."""
     target_id = hom.target.identity
     return sum(1 for g in hom.source.ball(radius, cap) if hom.apply(g) == target_id)

@@ -26,7 +26,9 @@ unreadable, is not valid JSON, or does not hold a JSON object, and a key
 that names no option of any command, are rejected with exit status 2 before
 anything runs.  The environment variable ``BARNORM_ENUM_CAP`` overrides the
 default enumeration cap; a value that is not an integer is rejected the same
-way.
+way.  The cap (``--cap``, or that default) bounds the ball of every chain
+draw (norms, compare-pq, pushforward, diffuse, all) and the annuli of diffuse;
+a command that would exceed it exits with status 2 and writes nothing.
 """
 
 from __future__ import annotations
@@ -77,6 +79,15 @@ def write_summary(path: Path, suite: str, trials: int, violations: int,
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def _exponent(text: str) -> float:
+    try:
+        return _exponent_from_text(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid exponent {text!r} (use inf or a rational like 5/2)"
+        ) from None
+
+
 def _default_cap() -> int:
     env = os.environ.get("BARNORM_ENUM_CAP")
     if not env:
@@ -115,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="free:2")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--p", type=_exponent_from_text, default=2.0)
-    p.add_argument("--q", type=_exponent_from_text, default=4.0)
+    p.add_argument("--p", type=_exponent, default=2.0)
+    p.add_argument("--q", type=_exponent, default=4.0)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--radius", type=int, default=3)
     p.add_argument("--support", type=int, default=8)
@@ -127,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--growth-degree", type=int, default=2)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--p", type=_exponent_from_text, default=2.0)
-    p.add_argument("--q", type=_exponent_from_text, default=4.0)
+    p.add_argument("--p", type=_exponent, default=2.0)
+    p.add_argument("--q", type=_exponent, default=4.0)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--radius", type=int, default=8)
     p.add_argument("--support", type=int, default=10)
@@ -139,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(harness.EXAMPLE_HOMOMORPHISMS))
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--p", type=_exponent_from_text, default=1.0)
+    p.add_argument("--p", type=_exponent, default=1.0)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--radius", type=int, default=6)
     p.add_argument("--support", type=int, default=8)
@@ -151,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="annuli degree (values <= 10 are flagged non-conforming)")
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--p", type=_exponent_from_text, default=2.0)
-    p.add_argument("--q", type=_exponent_from_text, default=4.0)
+    p.add_argument("--p", type=_exponent, default=2.0)
+    p.add_argument("--q", type=_exponent, default=4.0)
     p.add_argument("--ratio-m", type=int, default=None)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--radius", type=int, default=2)
@@ -182,49 +193,38 @@ def _run_suite(args) -> dict:
     """Dispatch to the harness; returns {suite: (schema, rows, violations)}."""
     cmd = args.command
     if cmd == "growth":
-        rows, violations, _ = harness.run_growth(
-            args.model, args.growth_degree, args.r_max)
-        return {"growth": (harness.GROWTH_SCHEMA, rows, violations)}
+        return harness.run_growth(args.model, args.growth_degree, args.r_max)
     if cmd == "norms":
-        rows, violations, _ = harness.run_contractivity(
-            args.model, args.k, args.n, args.p, args.q,
-            args.trials, args.seed, args.radius, args.support)
-        return {"norms": (harness.CONTRACTIVITY_SCHEMA, rows, violations)}
+        return harness.run_contractivity(
+            args.model, args.k, args.n, args.p, args.q, args.trials,
+            args.seed, args.radius, args.support, cap=args.cap)
     if cmd == "compare-pq":
-        rows, violations, _ = harness.run_compare(
+        return harness.run_compare(
             args.model, args.growth_degree, args.k, args.n, args.p, args.q,
-            args.trials, args.seed, args.radius, args.support)
-        return {"compare-pq": (harness.COMPARE_SCHEMA, rows, violations)}
+            args.trials, args.seed, args.radius, args.support, cap=args.cap)
     if cmd == "pushforward":
-        rows, violations, _ = harness.run_pushforward(
+        return harness.run_pushforward(
             args.hom, args.k, args.n, args.p, args.trials, args.seed,
-            args.radius, args.support)
-        return {"pushforward": (harness.PUSHFORWARD_SCHEMA, rows, violations)}
+            args.radius, args.support, cap=args.cap)
     if cmd == "diffuse":
         input_chain = None
         if args.chain is not None:
             model = parse_model(args.model)
             records = json.loads(args.chain.read_text(encoding="utf-8"))
             input_chain = chain_from_records(model, records, degree=args.degree)
-        rows, violations, extras = harness.run_diffuse(
+        results, last_cone = harness.run_diffuse(
             args.model, args.annuli_degree, args.degree, args.n, args.p,
             args.q, args.trials, args.seed, args.radius, args.support,
             args.ratio_m, args.cap, args.max_diameter, input_chain)
-        if args.emit_chain is not None and extras.get("last_cone") is not None:
+        if args.emit_chain is not None and last_cone is not None:
             args.emit_chain.write_text(
-                json.dumps(chain_to_records(extras["last_cone"]), indent=1)
-                + "\n",
+                json.dumps(chain_to_records(last_cone), indent=1) + "\n",
                 encoding="utf-8",
             )
-        return {"diffuse": (harness.DIFFUSE_SCHEMA, rows, violations)}
+        return results
     if cmd == "f2-vanish":
         params = [NormParams.parse(part) for part in args.norms.split(",")]
-        level_rows, decay_rows, violations = harness.run_f2(
-            args.levels, [(pp.n, pp.p) for pp in params])
-        return {
-            "f2-levels": (harness.F2_LEVELS_SCHEMA, level_rows, violations),
-            "f2-decay": (harness.F2_DECAY_SCHEMA, decay_rows, 0),
-        }
+        return harness.run_f2(args.levels, [(pp.n, pp.p) for pp in params])
     if cmd == "all":
         return harness.run_all(args.seed, args.cap)
     raise AssertionError(f"unhandled command {cmd}")

@@ -159,15 +159,12 @@ class GroupModel:
     def ball(self, r: int, cap: int = DEFAULT_ENUM_CAP) -> tuple:
         """All elements of word length at most ``r``, radius-major order."""
         cached = self._ball_cache.get(r)
+        size = self.ball_size(r) if cached is None else len(cached)
+        if size > cap:
+            raise EnumerationTooLarge(f"ball({r}) of {self.describe()}", size, cap)
         if cached is None:
-            size = self.ball_size(r)
-            if size > cap:
-                raise EnumerationTooLarge(f"ball({r}) of {self.describe()}", size, cap)
-            out = []
-            for s in range(r + 1):
-                out.extend(self.iter_sphere(s))
-            cached = tuple(out)
-            self._ball_cache[r] = cached
+            cached = self._ball_cache[r] = tuple(
+                g for s in range(r + 1) for g in self.iter_sphere(s))
         return cached
 
     # -- ordering / identity ---------------------------------------------
@@ -474,6 +471,7 @@ class DirectProduct(GroupModel):
             raise ValueError("product needs at least two factors")
         super().__init__()
         self.factors = factors
+        self._sphere_counts: dict[int, int] = {}
         self.identity = tuple(f.identity for f in factors)
         gens = []
         positive = []
@@ -514,8 +512,7 @@ class DirectProduct(GroupModel):
                 yield (offset + idx, exp)
 
     def sphere_size(self, r: int):
-        key = ("sphere_size", r)
-        cached = self._ball_cache.get(key)
+        cached = self._sphere_counts.get(r)
         if cached is not None:
             return cached
         # Convolution of the factor sphere counts over compositions of r.
@@ -532,7 +529,7 @@ class DirectProduct(GroupModel):
                     if size:
                         new[s + t] += c * size
             counts = new
-        self._ball_cache[key] = counts[r]
+        self._sphere_counts[r] = counts[r]
         return counts[r]
 
     def iter_sphere(self, r: int):

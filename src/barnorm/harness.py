@@ -5,6 +5,10 @@ generated from an explicit seed via ``random.Random``, rows are emitted in
 trial order, and all reported numbers derive from exact arithmetic or
 order-independent float summation — two runs with the same configuration
 produce identical rows.
+
+Every ``run_*`` returns the CSV tables it fills as ``{suite: (schema, rows,
+violations)}`` (``run_diffuse`` also its last cone) and passes its ``cap`` to
+every chain it draws; ``run_all`` merges the tables of its runner calls.
 """
 
 from __future__ import annotations
@@ -121,12 +125,13 @@ def example_homomorphism(name: str) -> GroupHomomorphism:
 # -- suites ------------------------------------------------------------------
 
 
-def _run_trials(model, spec: RandomChainSpec, trials: int, seed: int,
-                check, cap: int = DEFAULT_ENUM_CAP,
-                input_chain: Optional[Chain] = None):
-    """Rows of ``check(chain)`` for ``trials`` chains drawn in order from
-    ``Random(seed)`` (or for ``input_chain`` alone, when given), each
-    prefixed with its trial number, and the number of rows not ``ok``."""
+def _run_trials(suite: str, schema: tuple, model, spec: RandomChainSpec,
+                trials: int, seed: int, check, cap: int,
+                input_chain: Optional[Chain] = None) -> dict:
+    """The ``suite`` table of ``check(chain)`` rows for ``trials`` chains
+    drawn in order from ``Random(seed)`` (or for ``input_chain`` alone, when
+    given), each prefixed with its trial number; rows not ``ok`` count as
+    violations."""
     if input_chain is not None:
         chains = [input_chain]
     else:
@@ -134,15 +139,14 @@ def _run_trials(model, spec: RandomChainSpec, trials: int, seed: int,
         chains = (random_chain(model, spec, rng, cap) for _ in range(trials))
     rows = [{"trial": trial, **check(chain)}
             for trial, chain in enumerate(chains)]
-    return rows, sum(not row["ok"] for row in rows)
+    return {suite: (schema, rows, sum(not row["ok"] for row in rows))}
 
 
 GROWTH_SCHEMA = ("r", "sphere_size", "ball_size", "ratio")
 
 
-def run_growth(model_desc: str, degree: int, r_max: int):
+def run_growth(model_desc: str, degree: int, r_max: int) -> dict:
     model = parse_model(model_desc)
-    constant = growth_constant(model, degree, r_max)
     rows = []
     for r in range(1, r_max + 1):
         ball = model.ball_size(r)
@@ -152,7 +156,7 @@ def run_growth(model_desc: str, degree: int, r_max: int):
             "ball_size": ball,
             "ratio": Fraction(ball, r**degree),
         })
-    return rows, 0, {"constant": constant, "degree": degree}
+    return {"growth": (GROWTH_SCHEMA, rows, 0)}
 
 
 CONTRACTIVITY_SCHEMA = (
@@ -163,7 +167,7 @@ CONTRACTIVITY_SCHEMA = (
 
 def run_contractivity(model_desc: str, k: int, n: int, p, q,
                       trials: int, seed: int, radius: int = 3,
-                      support: int = 8):
+                      support: int = 8, cap: int = DEFAULT_ENUM_CAP) -> dict:
     def check(chain):
         report = check_contractivity(chain, n, p, q)
         return {
@@ -175,9 +179,8 @@ def run_contractivity(model_desc: str, k: int, n: int, p, q,
         }
 
     spec = RandomChainSpec(degree=k, support=support, radius=radius)
-    rows, violations = _run_trials(
-        parse_model(model_desc), spec, trials, seed, check)
-    return rows, violations, {}
+    return _run_trials("norms", CONTRACTIVITY_SCHEMA, parse_model(model_desc),
+                       spec, trials, seed, check, cap)
 
 
 COMPARE_SCHEMA = (
@@ -187,7 +190,7 @@ COMPARE_SCHEMA = (
 
 def run_compare(model_desc: str, growth_degree: int, k: int, n: int, p, q,
                 trials: int, seed: int, radius: int = 8, support: int = 10,
-                constant_r_max: int = 10):
+                constant_r_max: int = 10, cap: int = DEFAULT_ENUM_CAP) -> dict:
     model = parse_model(model_desc)
     constant = growth_constant(model, growth_degree, constant_r_max)
 
@@ -201,8 +204,8 @@ def run_compare(model_desc: str, growth_degree: int, k: int, n: int, p, q,
         }
 
     spec = RandomChainSpec(degree=k, support=support, radius=radius)
-    rows, violations = _run_trials(model, spec, trials, seed, check)
-    return rows, violations, {"growth_constant": constant}
+    return _run_trials("compare-pq", COMPARE_SCHEMA, model, spec, trials, seed,
+                       check, cap)
 
 
 PUSHFORWARD_SCHEMA = (
@@ -212,7 +215,8 @@ PUSHFORWARD_SCHEMA = (
 
 
 def run_pushforward(hom_name: str, k: int, n: int, p, trials: int, seed: int,
-                    radius: int = 6, support: int = 8):
+                    radius: int = 6, support: int = 8,
+                    cap: int = DEFAULT_ENUM_CAP) -> dict:
     hom = example_homomorphism(hom_name)
 
     def check(chain):
@@ -227,8 +231,8 @@ def run_pushforward(hom_name: str, k: int, n: int, p, trials: int, seed: int,
         }
 
     spec = RandomChainSpec(degree=k, support=support, radius=radius)
-    rows, violations = _run_trials(hom.source, spec, trials, seed, check)
-    return rows, violations, {"kernel_control": hom.kernel_control}
+    return _run_trials("pushforward", PUSHFORWARD_SCHEMA, hom.source, spec,
+                       trials, seed, check, cap)
 
 
 DIFFUSE_SCHEMA = (
@@ -242,15 +246,15 @@ def run_diffuse(model_desc: str, annuli_degree: int, degree: int, n: int, p, q,
                 trials: int, seed: int, radius: int = 2, support: int = 3,
                 ratio_m: Optional[int] = None, cap: int = DEFAULT_ENUM_CAP,
                 max_diameter: Optional[int] = None,
-                input_chain: Optional[Chain] = None):
+                input_chain: Optional[Chain] = None) -> tuple:
     """Homotopy-identity and explicit-bound checks for the cone operator.
 
     When ``input_chain`` is given it is used as the single trial; otherwise
     ``trials`` random chains are drawn.  Each trial is one call to
     :meth:`DiffusionOperator.estimate_report`, which verifies the homotopy
     identity in exact arithmetic and asserts the explicit cone bound; a
-    trial is ok when both hold.  The extras carry the cone of the last
-    trial (``last_cone``).
+    trial is ok when both hold.  Returns the suite table and the cone of
+    the last trial (``None`` when there was no trial).
     """
     model = parse_model(model_desc)
     operator = DiffusionOperator(
@@ -283,9 +287,9 @@ def run_diffuse(model_desc: str, annuli_degree: int, degree: int, n: int, p, q,
             "ok": report.homotopy_exact and report.bound_ok,
         }
 
-    rows, violations = _run_trials(
-        model, spec, trials, seed, check, cap, input_chain)
-    return rows, violations, {"last_cone": last_cone}
+    results = _run_trials("diffuse", DIFFUSE_SCHEMA, model, spec, trials, seed,
+                          check, cap, input_chain)
+    return results, last_cone
 
 
 F2_LEVELS_SCHEMA = ("level", "words", "max_word_length", "markers_injective")
@@ -295,7 +299,7 @@ F2_DECAY_SCHEMA = (
 )
 
 
-def run_f2(levels: int, norm_params: Iterable[tuple[int, float]]):
+def run_f2(levels: int, norm_params: Iterable[tuple[int, float]]) -> dict:
     construction = VanishingConstruction(max_level=max(levels + 1, 1))
     level_rows = []
     for d in range(levels + 1):
@@ -320,65 +324,43 @@ def run_f2(levels: int, norm_params: Iterable[tuple[int, float]]):
                   for row in table]
     violations = int(not telescoping_ok)
     violations += sum(0 if r["markers_injective"] else 1 for r in level_rows)
-    return level_rows, decay_rows, violations
+    return {
+        "f2-levels": (F2_LEVELS_SCHEMA, level_rows, violations),
+        "f2-decay": (F2_DECAY_SCHEMA, decay_rows, 0),
+    }
 
 
 # -- the aggregate suite -------------------------------------------------------
 
 
-def run_all(seed: int, cap: int = DEFAULT_ENUM_CAP) -> dict:
-    """Every asserted suite at a small deterministic scale.
-
-    Returns ``{name: (schema, rows, violations)}``; any nonzero violation
-    count marks the aggregate run as failed.
-    """
-    out = {}
-
-    rows, violations, _ = run_growth("abelian:2", 2, 10)
-    out["growth"] = (GROWTH_SCHEMA, rows, violations)
-
-    rows, violations, _ = run_contractivity(
-        "free:2", k=1, n=1, p=2, q=4, trials=25, seed=seed, radius=3,
-    )
-    out["norms"] = (CONTRACTIVITY_SCHEMA, rows, violations)
-
-    all_rows = []
-    total = 0
-    for model_desc, growth_degree, q in (
-        ("abelian:1", 1, 4), ("abelian:1", 1, INF), ("abelian:2", 2, 4),
-    ):
-        rows, violations, _ = run_compare(
-            model_desc, growth_degree, k=1, n=1, p=2, q=q,
-            trials=10, seed=seed, radius=6, support=6,
-        )
-        all_rows.extend(rows)
-        total += violations
-    out["compare-pq"] = (COMPARE_SCHEMA, all_rows, total)
-
-    all_rows = []
-    total = 0
-    for hom_name in ("abelian2-to-z", "z-to-cyclic5"):
-        for p in (1, 2, INF):
-            rows, violations, _ = run_pushforward(
-                hom_name, k=1, n=1, p=p, trials=10, seed=seed, radius=6,
-            )
-            all_rows.extend(rows)
-            total += violations
-    out["pushforward"] = (PUSHFORWARD_SCHEMA, all_rows, total)
-
-    all_rows = []
-    total = 0
-    for model_desc, degree in (("free:2", 1), ("free:2", 2), ("abelian:2", 2)):
-        rows, violations, _ = run_diffuse(
-            model_desc, annuli_degree=2, degree=degree, n=1, p=2, q=4,
-            trials=8, seed=seed, radius=2, support=3, cap=cap,
-        )
-        all_rows.extend(rows)
-        total += violations
-    out["diffuse"] = (DIFFUSE_SCHEMA, all_rows, total)
-
-    level_rows, decay_rows, violations = run_f2(4, [(0, 3), (0, 2)])
-    out["f2-levels"] = (F2_LEVELS_SCHEMA, level_rows, violations)
-    out["f2-decay"] = (F2_DECAY_SCHEMA, decay_rows, 0)
-
+def _merge(*results: dict) -> dict:
+    """Per suite, the rows concatenated in order and the violations summed."""
+    out: dict = {}
+    for result in results:
+        for suite, (schema, rows, violations) in result.items():
+            _, seen, total = out.get(suite, (schema, [], 0))
+            out[suite] = (schema, seen + rows, total + violations)
     return out
+
+
+def run_all(seed: int, cap: int = DEFAULT_ENUM_CAP) -> dict:
+    """Every asserted suite at a small deterministic scale."""
+    return _merge(
+        run_growth("abelian:2", 2, 10),
+        run_contractivity("free:2", k=1, n=1, p=2, q=4, trials=25, seed=seed,
+                          radius=3, cap=cap),
+        *(run_compare(model_desc, growth_degree, k=1, n=1, p=2, q=q,
+                      trials=10, seed=seed, radius=6, support=6, cap=cap)
+          for model_desc, growth_degree, q in (
+              ("abelian:1", 1, 4), ("abelian:1", 1, INF), ("abelian:2", 2, 4))),
+        *(run_pushforward(hom_name, k=1, n=1, p=p, trials=10, seed=seed,
+                          radius=6, cap=cap)
+          for hom_name in ("abelian2-to-z", "z-to-cyclic5")
+          for p in (1, 2, INF)),
+        *(run_diffuse(model_desc, annuli_degree=2, degree=degree, n=1, p=2,
+                      q=4, trials=8, seed=seed, radius=2, support=3,
+                      cap=cap)[0]
+          for model_desc, degree in (
+              ("free:2", 1), ("free:2", 2), ("abelian:2", 2))),
+        run_f2(4, [(0, 3), (0, 2)]),
+    )

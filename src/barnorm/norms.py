@@ -17,14 +17,12 @@ denominator ``D`` with integer weights ``w`` and has three regimes:
 
 * ``p = ∞`` (the distinct value ``math.inf``): the largest ``|a|·(1/D)·w``;
 * integer ``p``: the exact rational ``Σ|a|^p·w / D^p``, rooted once at the
-  end; a sum beyond float range is rooted through its logarithm, so only a
-  root that itself exceeds float range raises ``OverflowError``;
+  end; a sum beyond float range is rooted through its logarithm;
 * fractional ``p``: ``math.fsum`` of ``(|a|·(1/D))^p·w``, whose correctly
   rounded result does not depend on summation order.
 
-Overflow is handled only at integer ``p``.  At fractional ``p`` and at
-``p = ∞`` a value beyond float range raises ``OverflowError``, except when it
-arises as the product of a coefficient term and a weight: that reads ``inf``.
+A norm value beyond float range raises ``OverflowError`` at every ``p``, so
+an inequality whose two sides both overflow can never pass as ``inf <= inf``.
 
 Inequality verifiers return small report objects carrying both sides, the
 constant, and the weight exponent actually used; assertions allow a relative
@@ -35,7 +33,7 @@ strictly ordered in exact arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Optional
@@ -109,9 +107,6 @@ def _lp(pairs: Iterable[tuple], denom: int, p) -> float:
     at p = ∞; see the module docstring for the three regimes."""
     if not p >= 1:
         raise ValueError("exponent p must be >= 1")
-    if p == INF:
-        inv_denom = 1.0 / denom
-        return max((abs(a) * inv_denom * w for a, w in pairs), default=0.0)
     p_int = _exponent_as_int(p)
     if p_int is not None:
         total = _power_sum(pairs, denom, p_int)
@@ -121,9 +116,16 @@ def _lp(pairs: Iterable[tuple], denom: int, p) -> float:
             # the root may still fit: take it through the logarithm
             log_total = math.log(total.numerator) - math.log(total.denominator)
             return math.exp(log_total / p_int)
-    p = float(p)
     inv_denom = 1.0 / denom
-    return math.fsum((abs(a) * inv_denom) ** p * w for a, w in pairs) ** (1.0 / p)
+    if p == INF:
+        value = max((abs(a) * inv_denom * w for a, w in pairs), default=0.0)
+    else:
+        p = float(p)
+        value = math.fsum((abs(a) * inv_denom) ** p * w
+                          for a, w in pairs) ** (1.0 / p)
+    if not math.isfinite(value):  # a term times its weight left float range
+        raise OverflowError(f"lp value at p = {p} exceeds float range")
+    return value
 
 
 def _lp_of_rationals(values: Iterable[Fraction], p) -> float:
@@ -240,7 +242,6 @@ class InequalityReport:
     constant: float
     exponent_m: Optional[int]
     ok: bool
-    extras: dict = field(default_factory=dict)
 
     @property
     def ratio(self) -> float:
@@ -329,10 +330,7 @@ def pushforward_holder_bound(family: FiberedFamily, weights: dict,
     factor_q = fibered_pushforward_norm(family, q)
     factor_qp = _lp_of_rationals(family.pushforward(weights).values(), q_prime)
     rhs = factor_q * factor_qp
-    return InequalityReport(
-        lhs, rhs, 1.0, None, leq_with_slack(lhs, rhs),
-        extras={"factor_q": factor_q, "factor_qprime": factor_qp},
-    )
+    return InequalityReport(lhs, rhs, 1.0, None, leq_with_slack(lhs, rhs))
 
 
 # -- functoriality estimates ---------------------------------------------------

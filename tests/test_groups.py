@@ -207,6 +207,13 @@ class TestSpheresAndBalls:
             err = exc
         assert err is not None and err.bound == 4 * 3**29
 
+    def test_cap_guard_on_cached_ball(self):
+        model = FreeGroup(2)
+        assert len(model.ball(3)) == 53
+        with pytest.raises(EnumerationTooLarge):
+            model.ball(3, cap=10)
+        assert len(model.ball(3, cap=53)) == 53
+
     def test_astronomical_sizes_do_not_materialize(self):
         assert F2.sphere_size(10**7) == math.inf
 

@@ -100,40 +100,44 @@ class TestExampleHomomorphisms:
 
 class TestSuites:
     def test_growth(self):
-        rows, violations, extras = harness.run_growth("abelian:2", 2, 10)
+        [(suite, (schema, rows, violations))] = harness.run_growth(
+            "abelian:2", 2, 10).items()
+        assert suite == "growth" and schema == harness.GROWTH_SCHEMA
         assert violations == 0 and len(rows) == 10
-        assert extras["constant"] == 5
+        assert max(row["ratio"] for row in rows) == 5
         assert list(rows[0]) == list(harness.GROWTH_SCHEMA)
 
     def test_contractivity(self):
-        rows, violations, _ = harness.run_contractivity(
-            "free:2", 1, 1, 2, 4, trials=10, seed=1)
+        _, rows, violations = harness.run_contractivity(
+            "free:2", 1, 1, 2, 4, trials=10, seed=1)["norms"]
         assert violations == 0 and len(rows) == 10
 
     def test_compare(self):
-        rows, violations, extras = harness.run_compare(
-            "abelian:2", 2, k=1, n=0, p=2, q=4, trials=10, seed=2)
-        assert violations == 0 and extras["growth_constant"] == 5
+        _, rows, violations = harness.run_compare(
+            "abelian:2", 2, k=1, n=0, p=2, q=4, trials=10, seed=2)["compare-pq"]
+        assert violations == 0
 
     def test_pushforward(self):
-        rows, violations, _ = harness.run_pushforward(
-            "z-to-cyclic5", k=1, n=1, p=2, trials=10, seed=3)
+        _, rows, violations = harness.run_pushforward(
+            "z-to-cyclic5", k=1, n=1, p=2, trials=10, seed=3)["pushforward"]
         assert violations == 0
 
     def test_diffuse(self):
-        rows, violations, extras = harness.run_diffuse(
+        results, last_cone = harness.run_diffuse(
             "free:2", annuli_degree=2, degree=1, n=1, p=2, q=4,
             trials=5, seed=4, radius=2, support=2)
+        _, rows, violations = results["diffuse"]
         assert violations == 0
         assert all(r["homotopy_exact"] and r["bound_ok"] for r in rows)
-        assert extras["last_cone"] is not None
+        assert last_cone is not None
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_diffuse_cones_each_chain_once(self, monkeypatch, degree):
         cones = count_calls(monkeypatch, DiffusionOperator, "cone")
-        rows, violations, _ = harness.run_diffuse(
+        results, _ = harness.run_diffuse(
             "free:2", annuli_degree=2, degree=degree, n=1, p=2, q=4,
             trials=4, seed=5, radius=2, support=3)
+        _, _, violations = results["diffuse"]
         assert violations == 0
         spec = RandomChainSpec(degree=degree, support=3, radius=2,
                                max_diameter=2)
@@ -143,7 +147,9 @@ class TestSuites:
         assert len(cones) == sum(1 + bool(boundary(c)) for c in chains)
 
     def test_f2(self):
-        level_rows, decay_rows, violations = harness.run_f2(3, [(0, 3)])
+        results = harness.run_f2(3, [(0, 3)])
+        _, level_rows, violations = results["f2-levels"]
+        _, decay_rows, _ = results["f2-decay"]
         assert violations == 0
         assert [r["words"] for r in level_rows] == [1, 4, 16, 64]
         assert all(r["telescoping_ok"] for r in decay_rows)
@@ -222,6 +228,26 @@ class TestCli:
                         "3", "--trials", "1", "--outdir", str(tmp_path))
         assert code == 2
         assert "exceeds cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["norms", "compare-pq", "pushforward", "diffuse"])
+    def test_cap_reaches_every_chain_draw(self, tmp_path, capsys,
+                                          monkeypatch, command):
+        monkeypatch.setenv("BARNORM_ENUM_CAP", "5")
+        code = self.run(command, "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert "exceeds cap" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_exponent_names_option_and_forms(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            self.run("norms", "--p", "abc", "--outdir", str(tmp_path / "out"))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --p: invalid exponent 'abc'" in err
+        assert "inf" in err and "5/2" in err
+        assert "_exponent" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_defaults(self, tmp_path):
         config = tmp_path / "config.json"

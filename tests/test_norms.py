@@ -113,6 +113,13 @@ class TestWeightedNorm:
         assert math.isclose(weighted_norm(c, 300, p), float(reference),
                             rel_tol=1e-12)
 
+    @pytest.mark.parametrize("p", [1.5, INF])
+    def test_value_beyond_float_range_raises(self, p):
+        # 10**200 · 12**150 leaves float range in a single term
+        c = Chain.single(F2, ((1,) * 12,), 10**200)
+        with pytest.raises(OverflowError):
+            weighted_norm(c, 150, p)
+
     def test_deterministic_across_support_order(self):
         # same chain built in two different term orders
         terms = [((A,), Fraction(1, 3)), ((B,), Fraction(2, 7)),
@@ -164,6 +171,13 @@ class TestContractivity:
     def test_requires_ordered_exponents(self):
         with pytest.raises(ValueError):
             check_contractivity(Chain.single(F2, (A,)), 0, 4, 2)
+
+    def test_overflow_raises_instead_of_passing(self):
+        # both sides of the sup comparison would read inf, and inf <= inf
+        # would pass
+        c = Chain.single(F2, ((1,) * 12,), 10**200)
+        with pytest.raises(OverflowError):
+            check_contractivity(c, 150, 1.5, INF)
 
     def test_random_sweep(self):
         rng = random.Random(13)
