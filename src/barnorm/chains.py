@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional
 
-from .groups import DEFAULT_ENUM_CAP, GroupModel
+from .groups import DEFAULT_ENUM_CAP, GroupModel, _smallest_constant
 
 
 def _as_fraction(value) -> Fraction:
@@ -402,14 +402,8 @@ def kernel_ball_count(hom: GroupHomomorphism, radius: int,
 def kernel_control_constant(hom: GroupHomomorphism, degree: int,
                             r_max: int) -> Fraction:
     """Empirical kernel-control constant on ``1 <= r <= r_max`` (exact max)."""
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
-    best = Fraction(0)
-    for r in range(1, r_max + 1):
-        ratio = Fraction(kernel_ball_count(hom, r), r**degree)
-        if ratio > best:
-            best = ratio
-    return best
+    return _smallest_constant(lambda r: kernel_ball_count(hom, r), degree,
+                              r_max)
 
 
 def with_kernel_control(hom: GroupHomomorphism, degree: int,

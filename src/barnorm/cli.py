@@ -17,7 +17,9 @@ one row per trial, floats with 12 significant digits, exact rationals as
 ``p/q``) plus ``<suite>_summary.json`` with
 ``{suite, trials, violations, wall_time_ms}``.  CSV rows are deterministic
 functions of the configuration; the summary's wall time is the only
-non-reproducible output.  Exit status is 0 iff every asserted check held.
+non-reproducible output.  Exit status is 0 iff every asserted check held, 1
+when one failed or an internal invariant broke (then nothing is written), and
+2 for bad input.
 
 A JSON config file may supply any long-option value (keys use underscores,
 e.g. ``growth_degree``; the ``--N`` option's key is ``annuli_degree``);
@@ -38,11 +40,13 @@ import json
 import os
 import sys
 import time
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
 from . import harness
 from .chains import chain_from_records, chain_to_records
+from .errors import CollisionDetected
 from .groups import DEFAULT_ENUM_CAP, parse_model
 from .norms import INF, NormParams, _exponent_from_text
 
@@ -86,6 +90,14 @@ def _exponent(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"invalid exponent {text!r} (use inf or a rational like 5/2)"
         ) from None
+
+
+def _norm_pairs(text: str) -> list:
+    try:
+        return [astuple(NormParams.parse(part)) for part in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"invalid n:p pairs {text!r} ({exc})") from None
 
 
 def _default_cap() -> int:
@@ -177,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("f2-vanish", help="free-group vanishing construction")
     common(p)
     p.add_argument("--levels", type=int, default=5)
-    p.add_argument("--norms", default="0:3,0:2",
+    p.add_argument("--norms", type=_norm_pairs, default="0:3,0:2",
                    help="comma-separated n:p pairs for the decay table")
 
     p = sub.add_parser("all", help="every suite at a small deterministic scale")
@@ -223,8 +235,7 @@ def _run_suite(args) -> dict:
             )
         return results
     if cmd == "f2-vanish":
-        params = [NormParams.parse(part) for part in args.norms.split(",")]
-        return harness.run_f2(args.levels, [(pp.n, pp.p) for pp in params])
+        return harness.run_f2(args.levels, args.norms)
     if cmd == "all":
         return harness.run_all(args.seed, args.cap)
     raise AssertionError(f"unhandled command {cmd}")
@@ -267,7 +278,7 @@ def main(argv=None) -> int:
         results = _run_suite(args)
     except Exception as exc:  # surfaced caps, bad configs, missing files
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (AssertionError, CollisionDetected)) else 2
     wall_ms = int((time.monotonic() - started) * 1000)
 
     args.outdir.mkdir(parents=True, exist_ok=True)

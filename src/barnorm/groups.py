@@ -35,7 +35,7 @@ import math
 from fractions import Fraction
 from math import comb
 from operator import neg as _negate
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import EnumerationTooLarge
 
@@ -611,11 +611,11 @@ def growth_constant(model: GroupModel, degree: int, r_max: int) -> Fraction:
     polynomial growth of degree at most ``degree`` it is valid beyond
     ``r_max`` as well, but that is the caller's concern.
     """
+    return _smallest_constant(model.ball_size, degree, r_max)
+
+
+def _smallest_constant(count: Callable, degree: int, r_max: int) -> Fraction:
+    """The exact max of ``count(r) / r**degree`` over ``1 <= r <= r_max``."""
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    best = Fraction(0)
-    for r in range(1, r_max + 1):
-        ratio = Fraction(model.ball_size(r), r**degree)
-        if ratio > best:
-            best = ratio
-    return best
+    return max(Fraction(count(r), r**degree) for r in range(1, r_max + 1))

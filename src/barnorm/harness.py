@@ -300,7 +300,7 @@ F2_DECAY_SCHEMA = (
 
 
 def run_f2(levels: int, norm_params: Iterable[tuple[int, float]]) -> dict:
-    construction = VanishingConstruction(max_level=max(levels + 1, 1))
+    construction = VanishingConstruction(max_level=levels + 1)
     level_rows = []
     for d in range(levels + 1):
         data = construction.level(d)
@@ -314,12 +314,10 @@ def run_f2(levels: int, norm_params: Iterable[tuple[int, float]]) -> dict:
     # (and the support envelope of every row); a failed assertion is one
     # violation, reported the same way at every level
     telescoping_ok = True
-    table = []
-    if levels >= 1:
-        try:
-            table = construction.decay_table(levels, norm_params)
-        except AssertionError:
-            telescoping_ok = False
+    try:
+        table = construction.decay_table(levels, norm_params)
+    except AssertionError:
+        table, telescoping_ok = [], False
     decay_rows = [{**asdict(row), "telescoping_ok": telescoping_ok}
                   for row in table]
     violations = int(not telescoping_ok)

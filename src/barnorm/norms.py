@@ -73,10 +73,13 @@ class NormParams:
 
 def _exponent_from_text(text: str) -> float:
     """An exponent given as text: ``inf`` (or ``oo``), or a rational such as
-    ``2``, ``1.5`` or ``5/2``, as a float."""
+    ``2``, ``1.5`` or ``5/2``, as a float; ``ValueError`` otherwise."""
     if text.strip() in ("inf", "oo"):
         return INF
-    return float(Fraction(text))
+    try:
+        return float(Fraction(text))
+    except (ZeroDivisionError, OverflowError):  # "1/0", "1e400"
+        raise ValueError(f"exponent {text!r} is not a finite float") from None
 
 
 def _ratio(lhs: float, rhs: float) -> float:

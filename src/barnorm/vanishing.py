@@ -12,10 +12,10 @@ via the suffix pair ``s = α^{d+1} β^{d+1}``, ``t = β^{d+1} α^{d+1}``:
 
 All words consist of non-negative generator powers, so no cancellation can
 occur; distinctness of all children within a level is asserted at build time
-rather than assumed.  Markers are assigned canonically: the level's words in
-shortlex order receive the base-2 expansions of their index (α for digit 0,
-β for digit 1), left-padded to length ``2d`` — determinism makes every
-derived norm value reproducible.
+rather than assumed, and each child is validated there, once.  Markers are
+assigned canonically: the level's words in shortlex order receive the base-2
+expansions of their index (α for digit 0, β for digit 1), left-padded to
+length ``2d`` — determinism makes every derived norm value reproducible.
 
 Each level word ``x`` at level ``d`` carries two 2-simplices
 
@@ -27,15 +27,16 @@ signs arranged so that the level sums telescope: with
     b(D) = Σ_{d<=D} Σ_{x in level d} ε(x)/2^{d+1} · (s(x) + t(x))
 
 one gets exactly ``∂b(D) = [e,α] − Σ_{y in level D+1} ε(y)/2^{D+1}·[e,y]``.
-The tail norm at weight degree 0 decays iff p > 2, which the decay table
-makes observable: level-D increments have ``2·4^D`` distinct simplices of
-equal |coefficient| ``1/2^{D+1}``.
+The children are the cone tips and their parts past ``x``, so chunks and edge
+sums have validated vertices and are built directly as ``±1`` numerators over
+``2^{d+1}`` and ``2^d``.  The tail norm at weight degree 0 decays iff p > 2,
+which the decay table makes observable: level-D increments have ``2·4^D``
+distinct simplices of equal |coefficient| ``1/2^{D+1}``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .chains import Chain, boundary
@@ -90,7 +91,6 @@ class VanishingConstruction:
         self.model = FreeGroup(2)
         self.max_level = max_level
         self._levels: list[LevelData] = []
-        self._chunks: dict[int, Chain] = {}
 
     def level(self, d: int) -> LevelData:
         if d > self.max_level:
@@ -108,29 +108,20 @@ class VanishingConstruction:
             self._levels.append(data)
             return
         parent = self._levels[d - 1]
-        s_d, t_d = suffix_pair(d)
-        words = []
+        validate = self.model.validate
         signs: dict[tuple, int] = {}
         for x in parent.words:
-            m_x = parent.markers[x]
             sign = parent.signs[x]
-            ms = m_x + s_d
-            mt = m_x + t_d
-            for child, child_sign in (
-                (x + ms, sign),
-                (ms, -sign),
-                (x + mt, sign),
-                (mt, -sign),
-            ):
-                if child in signs:
-                    raise CollisionDetected(
-                        f"level {d}: child word {child!r} produced twice"
-                    )
-                signs[child] = child_sign
-                words.append(child)
-        ordered = tuple(sorted(words, key=lambda w: (len(w), w)))
-        width = 2 * d
-        markers = {w: _marker(i, width) for i, w in enumerate(ordered)}
+            for _, tip in self.cone_simplices(x, d - 1):
+                for child, child_sign in ((tip, sign), (tip[len(x):], -sign)):
+                    if child in signs:
+                        raise CollisionDetected(
+                            f"level {d}: child word {child!r} produced twice"
+                        )
+                    validate(child)
+                    signs[child] = child_sign
+        ordered = tuple(sorted(signs, key=lambda w: (len(w), w)))
+        markers = {w: _marker(i, 2 * d) for i, w in enumerate(ordered)}
         self._levels.append(LevelData(d, ordered, markers, signs))
 
     # -- simplices and partial sums -----------------------------------------
@@ -145,26 +136,20 @@ class VanishingConstruction:
         return (x, x + m_x + s_next), (x, x + m_x + t_next)
 
     def level_chunk(self, d: int) -> Chain:
-        """Σ_{x in level d} ε(x)/2^{d+1} · (s(x) + t(x)) as an exact chain."""
-        cached = self._chunks.get(d)
-        if cached is not None:
-            return cached
+        """Σ_{x in level d} ε(x)/2^{d+1} · (s(x) + t(x)) as an exact chain;
+        builds level ``d + 1`` (the validated cone tips) first."""
+        self.level(d + 1)
         data = self.level(d)
-        coeff_denom = 2 ** (d + 1)
-        terms = []
+        numer = {}
         for x in data.words:
             s_x, t_x = self.cone_simplices(x, d)
-            value = Fraction(data.signs[x], coeff_denom)
-            terms.append((s_x, value))
-            terms.append((t_x, value))
-        chunk = Chain.from_terms(self.model, 2, terms)
-        if len(chunk) != 2 * len(data.words):
+            numer[s_x] = numer[t_x] = data.signs[x]
+        if len(numer) != 2 * len(data.words):
             raise CollisionDetected(
                 f"level {d}: expected {2 * len(data.words)} distinct "
-                f"2-simplices, got {len(chunk)}"
+                f"2-simplices, got {len(numer)}"
             )
-        self._chunks[d] = chunk
-        return chunk
+        return Chain(self.model, 2, 2 ** (d + 1), numer)
 
     def partial_sum(self, top_level: int) -> Chain:
         """b(D): the weighted sum of all chunks through ``top_level``, taken
@@ -176,14 +161,10 @@ class VanishingConstruction:
     def edge_sum(self, d: int) -> Chain:
         """Σ_{y in level d} ε(y)/2^d · [e, y] (the telescoped tail shape)."""
         data = self.level(d)
-        coeff_denom = 2**d
-        terms = [
-            ((y,), Fraction(data.signs[y], coeff_denom)) for y in data.words
-        ]
-        chain = Chain.from_terms(self.model, 1, terms)
-        if len(chain) != len(data.words):
+        numer = {(y,): data.signs[y] for y in data.words}
+        if len(numer) != len(data.words):
             raise CollisionDetected(f"level-{d} edges are not distinct")
-        return chain
+        return Chain(self.model, 1, 2**d, numer)
 
     def boundary_tail(self, top_level: int) -> Chain:
         """∂b(D) − [e,α], after asserting the exact telescoping identity

@@ -179,6 +179,9 @@ class TestHomomorphisms:
         assert kernel_ball_count(proj, 4) == 9  # {(0, t) : |t| <= 4}
         red = GroupHomomorphism(Z, Z5, [1])
         assert kernel_control_constant(red, 1, 12) == 1
+        assert kernel_control_constant(red, 0, 12) == 5  # 2·⌊12/5⌋ + 1
+        with pytest.raises(ValueError, match="r_max"):
+            kernel_control_constant(red, 1, 0)
         for r in range(1, 13):
             assert kernel_ball_count(red, r) == 2 * (r // 5) + 1
 

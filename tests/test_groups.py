@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -275,6 +276,12 @@ class TestGrowthConstant:
         assert growth_constant(Z, 1, 10) == 3
         assert growth_constant(Z2, 2, 10) == 5
         assert growth_constant(Z, 2, 10) == 3
+
+    def test_exact_and_range_checked(self):
+        assert growth_constant(Z, 3, 10) == Fraction(3)
+        assert isinstance(growth_constant(Z, 3, 10), Fraction)
+        with pytest.raises(ValueError, match="r_max"):
+            growth_constant(Z, 1, 0)
 
     def test_bound_holds_on_range(self):
         for model, degree in ((Z, 1), (Z2, 2), (FreeAbelian(3), 3)):

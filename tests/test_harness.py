@@ -9,6 +9,7 @@ import pytest
 from barnorm import cli, harness
 from barnorm.chains import boundary, chain_from_records
 from barnorm.diffusion import DiffusionOperator
+from barnorm.errors import CollisionDetected
 from barnorm.groups import FreeGroup, parse_model
 from barnorm.harness import (
     EXAMPLE_HOMOMORPHISMS,
@@ -249,6 +250,41 @@ class TestCli:
         assert "_exponent" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("norms", "--p", "1/0"), ("norms", "--p", "1e400"),
+        ("f2-vanish", "--norms", "0:1/0"), ("f2-vanish", "--norms", "0:3,x:3"),
+    ], ids=["zero-denominator", "overflow", "norms-pair", "norms-degree"])
+    def test_bad_exponent_text_is_a_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            self.run(*argv, "--outdir", str(tmp_path / "out"))
+        assert exit_info.value.code == 2
+        assert f"argument {argv[1]}: invalid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, cls, name, exc", [
+        (("f2-vanish", "--levels", "2"), VanishingConstruction, "level_chunk",
+         CollisionDetected("forged collision")),
+        (("diffuse", "--trials", "1"), DiffusionOperator, "cone",
+         AssertionError("forged invariant failure")),
+    ], ids=["collision", "assertion"])
+    def test_broken_invariant_exits_one(self, tmp_path, capsys, monkeypatch,
+                                        command, cls, name, exc):
+        def broken(self, *args):
+            raise exc
+
+        monkeypatch.setattr(cls, name, broken)
+        code = self.run(*command, "--outdir", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {exc}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_f2_negative_levels_rejected(self, tmp_path, capsys):
+        code = self.run("f2-vanish", "--levels", "-1",
+                        "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_defaults(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(
@@ -289,6 +325,15 @@ class TestCli:
         assert summary["violations"] == 1
         decay = (tmp_path / "f2-decay.csv").read_text().splitlines()
         assert not any(line.endswith(",true") for line in decay)
+
+    def test_f2_level_zero_checks_the_identity(self, tmp_path, monkeypatch):
+        original = VanishingConstruction.edge_sum
+        monkeypatch.setattr(VanishingConstruction, "edge_sum",
+                            lambda self, d: original(self, d).scale(2))
+        code = self.run("f2-vanish", "--levels", "0", "--outdir", str(tmp_path))
+        assert code == 1
+        summary = json.loads((tmp_path / "f2-levels_summary.json").read_text())
+        assert summary["violations"] == 1
 
     @pytest.mark.parametrize("command", sorted(PINNED),
                              ids=lambda command: command.split()[0])

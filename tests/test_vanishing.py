@@ -4,6 +4,7 @@ import pytest
 
 from barnorm.chains import Chain, boundary
 from barnorm.errors import CollisionDetected
+from barnorm.groups import FreeGroup
 from barnorm.norms import weighted_power_sum
 from barnorm.vanishing import (
     ALPHA,
@@ -185,6 +186,51 @@ class TestDecay:
         incs2 = [r.increment_norm for r in rows2]
         assert all(a > b for a, b in zip(incs3, incs3[1:]))
         assert max(incs2) - min(incs2) <= 1e-9 * max(incs2)
+
+
+def reference_chunk(construction, d):
+    """The chunk built term by term through ``Chain.from_terms``."""
+    data = construction.level(d)
+    terms = []
+    for x in data.words:
+        value = Fraction(data.signs[x], 2 ** (d + 1))
+        terms += [(simplex, value)
+                  for simplex in construction.cone_simplices(x, d)]
+    return Chain.from_terms(construction.model, 2, terms)
+
+
+def reference_edge_sum(construction, d):
+    data = construction.level(d)
+    return Chain.from_terms(
+        construction.model, 1,
+        [((y,), Fraction(data.signs[y], 2**d)) for y in data.words])
+
+
+class TestDirectChains:
+    @pytest.mark.parametrize("d", range(6))
+    def test_chunks_and_edge_sums_match_reference(self, construction, d):
+        assert construction.level_chunk(d) == reference_chunk(construction, d)
+        assert construction.edge_sum(d) == reference_edge_sum(construction, d)
+
+    def test_each_word_validated_once(self, monkeypatch):
+        calls = []
+        original = FreeGroup.validate
+
+        def validate(self, g):
+            calls.append(g)
+            return original(self, g)
+
+        monkeypatch.setattr(FreeGroup, "validate", validate)
+        VanishingConstruction().decay_table(4, [(0, 3)])
+        # the 1,364 words of levels 1..5 (level 0 is the literal α) and the
+        # generator edge [e, α]; building the chains from terms made 2,729
+        assert len(calls) == 1365
+
+    def test_chunk_needs_the_next_level(self):
+        small = VanishingConstruction(max_level=2)
+        assert len(small.level_chunk(1)) == 8
+        with pytest.raises(ValueError):
+            small.level_chunk(2)
 
 
 class TestCollisionGuards:
