@@ -226,9 +226,7 @@ def _accumulate(out: dict, pairs) -> None:
     """Add every ``(key, value)`` of ``pairs`` into ``out``, keeping zeros.
 
     ``setdefault`` stores a new key in one probe of the table; only a key
-    already present (the dict did not grow) takes a second probe.  Probes
-    are dear here: ``hash(-1) == hash(-2)``, so free-group words differing
-    only in those letters share a hash and their lookups walk collisions.
+    already present (the dict did not grow) takes a second probe.
     """
     setdefault = out.setdefault
     size = len(out)
@@ -400,16 +398,17 @@ def kernel_ball_count(hom: GroupHomomorphism, radius: int,
 
 
 def kernel_control_constant(hom: GroupHomomorphism, degree: int,
-                            r_max: int) -> Fraction:
-    """Empirical kernel-control constant on ``1 <= r <= r_max`` (exact max)."""
-    return _smallest_constant(lambda r: kernel_ball_count(hom, r), degree,
+                            r_max: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
+    """Empirical kernel-control constant on ``1 <= r <= r_max`` (exact max),
+    counting each source ball within ``cap``."""
+    return _smallest_constant(lambda r: kernel_ball_count(hom, r, cap), degree,
                               r_max)
 
 
 def with_kernel_control(hom: GroupHomomorphism, degree: int,
-                        r_max: int) -> GroupHomomorphism:
+                        r_max: int, cap: int = DEFAULT_ENUM_CAP) -> GroupHomomorphism:
     """Attach an empirically computed kernel-control certificate."""
-    constant = kernel_control_constant(hom, degree, r_max)
+    constant = kernel_control_constant(hom, degree, r_max, cap)
     cert = KernelControl(degree=degree, constant=constant, radius_checked=r_max)
     return GroupHomomorphism(hom.source, hom.target, hom.images, cert)
 

@@ -29,8 +29,10 @@ that names no option of any command, are rejected with exit status 2 before
 anything runs.  The environment variable ``BARNORM_ENUM_CAP`` overrides the
 default enumeration cap; a value that is not an integer is rejected the same
 way.  The cap (``--cap``, or that default) bounds the ball of every chain
-draw (norms, compare-pq, pushforward, diffuse, all) and the annuli of diffuse;
-a command that would exceed it exits with status 2 and writes nothing.
+draw (norms, compare-pq, pushforward, diffuse, all), the annuli of diffuse
+and the kernel-control balls of pushforward and all; a command that would
+exceed it exits with status 2 and writes nothing.  Exponent options below 1
+and a negative ``--levels`` are usage errors that name the option.
 """
 
 from __future__ import annotations
@@ -85,11 +87,25 @@ def write_summary(path: Path, suite: str, trials: int, violations: int,
 
 def _exponent(text: str) -> float:
     try:
-        return _exponent_from_text(text)
+        value = _exponent_from_text(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid exponent {text!r} (use inf or a rational like 5/2)"
         ) from None
+    if not value >= 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid exponent {text!r} (must be >= 1)")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r} (must be >= 0)")
+    return value
 
 
 def _norm_pairs(text: str) -> list:
@@ -188,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("f2-vanish", help="free-group vanishing construction")
     common(p)
-    p.add_argument("--levels", type=int, default=5)
+    p.add_argument("--levels", type=_non_negative_int, default=5)
     p.add_argument("--norms", type=_norm_pairs, default="0:3,0:2",
                    help="comma-separated n:p pairs for the decay table")
 

@@ -10,9 +10,13 @@ simplex diameters are always taken with respect to that set.
 Elements are plain hashable values in a canonical form unique per group
 element:
 
-* free group of rank ``k``: a reduced word, i.e. a tuple of letters from
-  ``{±1, …, ±k}`` with no adjacent ``x, -x`` pair (``1`` is the first
-  generator, ``-1`` its inverse, …);
+* free group of rank ``k``: a reduced word as ``bytes``, one byte a letter.
+  Letter ``l`` of ``{±1, …, ±k}`` (``1`` is the first generator, ``-1`` its
+  inverse, …) is byte ``l + k`` when negative and ``l + k − 1`` when
+  positive, so inverse letters sum to ``2k − 1`` and byte order is letter
+  order.  The identity is ``b""``; ``FreeGroup.word(*letters)`` builds the
+  element a letter sequence spells.  Bytes cache their hash, and products,
+  inverses, prefix tests and validation run at C level;
 * free abelian group of rank ``n``: a length-``n`` tuple of ints;
 * cyclic group of order ``m``: an int in ``[0, m)``;
 * direct product: a tuple of component elements.
@@ -34,7 +38,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import comb
-from operator import neg as _negate
 from typing import Callable, Iterable, Iterator
 
 from .errors import EnumerationTooLarge
@@ -198,7 +201,8 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class FreeGroup(GroupModel):
-    """Free group of rank ``k`` on reduced words over ``2k`` letters."""
+    """Free group of rank ``k`` on reduced byte words (see the module
+    docstring for the encoding)."""
 
     kind = "free"
 
@@ -207,53 +211,78 @@ class FreeGroup(GroupModel):
             raise ValueError(f"free rank must be in [1, 26], got {rank}")
         super().__init__()
         self.rank = rank
-        self.identity = ()
-        self._letters = tuple(
-            letter for i in range(1, rank + 1) for letter in (i, -i)
-        )
-        self.generators = tuple((letter,) for letter in self._letters)
-        self.positive_generators = tuple((i,) for i in range(1, rank + 1))
+        self.identity = b""
+        top = self._top = 2 * rank - 1  # the byte sum of inverse letters
+        alphabet = self._alphabet = bytes(range(2 * rank))
+        self._inverse_table = bytes.maketrans(alphabet, alphabet[::-1])
+        self._cancelling = tuple(bytes((b, top - b)) for b in alphabet)
+        upper = _LETTERS[rank - 1::-1].upper()  # bytes 0..k-1 are -k..-1
+        self._text_table = bytes.maketrans(
+            alphabet, (upper + _LETTERS[:rank]).encode("ascii"))
+        self._letter_of_char = {
+            ch: bytes((b,)) for b, ch in enumerate(upper + _LETTERS[:rank])}
+        self._generator_pairs = tuple(
+            (rank - 1 - b, -1) if b < rank else (b - rank, 1) for b in alphabet)
+        self.generators = tuple(
+            self.word(letter) for i in range(1, rank + 1) for letter in (i, -i))
+        self.positive_generators = tuple(
+            self.word(i) for i in range(1, rank + 1))
+
+    def word(self, *letters: int) -> bytes:
+        """The element spelled by signed letters (``1`` the first generator,
+        ``-1`` its inverse, …), freely reduced."""
+        codes = []
+        for letter in letters:
+            if not isinstance(letter, int) or letter == 0 or abs(letter) > self.rank:
+                raise ValueError(f"letter {letter!r} out of range for {self.describe()}")
+            code = letter + self.rank - 1 if letter > 0 else letter + self.rank
+            if codes and codes[-1] + code == self._top:
+                codes.pop()
+            else:
+                codes.append(code)
+        return bytes(codes)
 
     def multiply(self, g, h):
-        if not g:
-            return h
-        if not h or g[-1] != -h[0]:
+        top = self._top
+        if not g or not h or g[-1] + h[0] != top:
             return g + h
         i = len(g) - 1
         j = 1
         nh = len(h)
-        while i > 0 and j < nh and g[i - 1] == -h[j]:
+        while i > 0 and j < nh and g[i - 1] + h[j] == top:
             i -= 1
             j += 1
         return g[:i] + h[j:]
 
     def inverse(self, g):
-        return tuple(map(_negate, reversed(g)))
+        return g[::-1].translate(self._inverse_table)
 
     def _left_divide(self, g, h):
         # a reduced word h = g·w has g⁻¹h = w; cone simplices
         # [e, z⁻¹, z⁻¹g1, …] mostly take this path
-        n = len(g)
-        if h[:n] == g:
-            return h[n:]
+        if h.startswith(g):
+            return h[len(g):]
         return self.multiply(self.inverse(g), h)
 
     def word_length(self, g) -> int:
         return len(g)
 
     def validate(self, g) -> None:
-        if not isinstance(g, tuple):
-            raise ValueError(f"free group element must be a tuple, got {g!r}")
-        for letter in g:
-            if not isinstance(letter, int) or letter == 0 or abs(letter) > self.rank:
-                raise ValueError(f"letter {letter!r} out of range for {self.describe()}")
-        for a, b in zip(g, g[1:]):
-            if a == -b:
-                raise ValueError(f"word {g!r} is not reduced")
+        if not isinstance(g, bytes):
+            raise ValueError(
+                f"free group element must be bytes (build it with "
+                f"FreeGroup.word), got {g!r}")
+        stray = g.translate(None, self._alphabet)
+        if stray:
+            raise ValueError(
+                f"letter byte {stray[0]} out of range for {self.describe()}")
+        for pair in self._cancelling:
+            if pair in g:
+                raise ValueError(
+                    f"word {self.element_to_str(g)!r} is not reduced")
 
     def generator_word(self, g):
-        for letter in g:
-            yield (abs(letter) - 1, 1 if letter > 0 else -1)
+        return map(self._generator_pairs.__getitem__, g)
 
     def sphere_size(self, r: int):
         if r == 0:
@@ -267,19 +296,20 @@ class FreeGroup(GroupModel):
 
     def iter_sphere(self, r: int):
         if r == 0:
-            yield ()
+            yield b""
             return
-        letters = self._letters
-        stack = [((letter,), 1) for letter in reversed(letters)]
+        letters = self.generators  # in the order 1, -1, 2, -2, …
+        top = self._top
+        stack = [(letter, 1) for letter in reversed(letters)]
         while stack:
             word, depth = stack.pop()
             if depth == r:
                 yield word
                 continue
-            banned = -word[-1]
+            banned = top - word[-1]
             for letter in reversed(letters):
-                if letter != banned:
-                    stack.append((word + (letter,), depth + 1))
+                if letter[0] != banned:
+                    stack.append((word + letter, depth + 1))
 
     def sort_key(self, g):
         return (len(g), g)
@@ -288,22 +318,18 @@ class FreeGroup(GroupModel):
         return f"free:{self.rank}"
 
     def element_to_str(self, g) -> str:
-        return "".join(
-            _LETTERS[abs(l) - 1].upper() if l < 0 else _LETTERS[l - 1] for l in g
-        )
+        return g.translate(self._text_table).decode("ascii")
 
     def element_from_str(self, text: str):
         text = text.strip()
         if text in ("", "e"):
-            return ()
-        word = ()
+            return b""
+        word = b""
         for ch in text:
-            lower = ch.lower()
-            idx = _LETTERS.find(lower)
-            if idx < 0 or idx >= self.rank:
+            letter = self._letter_of_char.get(ch)
+            if letter is None:
                 raise ValueError(f"bad letter {ch!r} for {self.describe()}")
-            letter = idx + 1 if ch.islower() else -(idx + 1)
-            word = self.multiply(word, (letter,))
+            word = self.multiply(word, letter)
         return word
 
 

@@ -96,30 +96,33 @@ def random_chain(model, spec: RandomChainSpec, rng: random.Random,
 # -- shipped example homomorphisms --------------------------------------------
 
 
-def _hom_abelian2_to_z() -> GroupHomomorphism:
+def _hom_abelian2_to_z(cap: int) -> GroupHomomorphism:
     hom = GroupHomomorphism(FreeAbelian(2), FreeAbelian(1), [(1,), (0,)])
-    return with_kernel_control(hom, 1, 10)
+    return with_kernel_control(hom, 1, 10, cap)
 
 
-def _hom_z_to_cyclic5() -> GroupHomomorphism:
+def _hom_z_to_cyclic5(cap: int) -> GroupHomomorphism:
     return with_kernel_control(
-        GroupHomomorphism(FreeAbelian(1), Cyclic(5), [1]), 1, 10)
+        GroupHomomorphism(FreeAbelian(1), Cyclic(5), [1]), 1, 10, cap)
 
 
 EXAMPLE_HOMOMORPHISMS = {
     "abelian2-to-z": _hom_abelian2_to_z,
     "z-to-cyclic5": _hom_z_to_cyclic5,
-    "free2-identity": lambda: identity_homomorphism(FreeGroup(2)),
+    "free2-identity": lambda cap: identity_homomorphism(FreeGroup(2)),
 }
 
 
-def example_homomorphism(name: str) -> GroupHomomorphism:
+def example_homomorphism(name: str,
+                         cap: int = DEFAULT_ENUM_CAP) -> GroupHomomorphism:
+    """The named example; its kernel-control certificate enumerates source
+    balls within ``cap``."""
     try:
         factory = EXAMPLE_HOMOMORPHISMS[name]
     except KeyError:
         known = ", ".join(sorted(EXAMPLE_HOMOMORPHISMS))
         raise ValueError(f"unknown homomorphism {name!r} (known: {known})") from None
-    return factory()
+    return factory(cap)
 
 
 # -- suites ------------------------------------------------------------------
@@ -217,7 +220,7 @@ PUSHFORWARD_SCHEMA = (
 def run_pushforward(hom_name: str, k: int, n: int, p, trials: int, seed: int,
                     radius: int = 6, support: int = 8,
                     cap: int = DEFAULT_ENUM_CAP) -> dict:
-    hom = example_homomorphism(hom_name)
+    hom = example_homomorphism(hom_name, cap)
 
     def check(chain):
         report = verify_pushforward_estimate(hom, chain, n, p)

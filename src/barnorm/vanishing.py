@@ -44,26 +44,24 @@ from .errors import CollisionDetected
 from .groups import FreeGroup
 from .norms import INF, diameter_map, leq_with_slack, weighted_norm
 
-ALPHA = (1,)
-BETA = (2,)
+ALPHA, BETA = FreeGroup(2).positive_generators
+_MARKER_DIGITS = bytes.maketrans(b"01", ALPHA + BETA)
 
 DEFAULT_MAX_LEVEL = 9  # level d holds 2 * 4**d fresh 2-simplices
 
 
-def suffix_pair(d: int) -> tuple[tuple, tuple]:
+def suffix_pair(d: int) -> tuple[bytes, bytes]:
     """The positive words ``α^d β^d`` and ``β^d α^d`` (both empty at d=0)."""
     if d < 0:
         raise ValueError("suffix index must be >= 0")
-    return (1,) * d + (2,) * d, (2,) * d + (1,) * d
+    return ALPHA * d + BETA * d, BETA * d + ALPHA * d
 
 
-def _marker(index: int, width: int) -> tuple:
+def _marker(index: int, width: int) -> bytes:
     # base-2 expansion of index, α for 0-digit, β for 1-digit, left-padded
-    digits = []
-    for _ in range(width):
-        digits.append(2 if index & 1 else 1)
-        index >>= 1
-    return tuple(reversed(digits))
+    if not width:
+        return b""
+    return format(index, f"0{width}b").encode("ascii").translate(_MARKER_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -104,12 +102,12 @@ class VanishingConstruction:
     def _build_next(self) -> None:
         d = len(self._levels)
         if d == 0:
-            data = LevelData(0, (ALPHA,), {ALPHA: ()}, {ALPHA: 1})
+            data = LevelData(0, (ALPHA,), {ALPHA: b""}, {ALPHA: 1})
             self._levels.append(data)
             return
         parent = self._levels[d - 1]
         validate = self.model.validate
-        signs: dict[tuple, int] = {}
+        signs: dict[bytes, int] = {}
         for x in parent.words:
             sign = parent.signs[x]
             for _, tip in self.cone_simplices(x, d - 1):
@@ -126,7 +124,7 @@ class VanishingConstruction:
 
     # -- simplices and partial sums -----------------------------------------
 
-    def cone_simplices(self, x: tuple, d: int) -> tuple[tuple, tuple]:
+    def cone_simplices(self, x: bytes, d: int) -> tuple[tuple, tuple]:
         """The two 2-simplices attached to a level-``d`` word ``x``."""
         data = self.level(d)
         if x not in data.markers:

@@ -38,3 +38,39 @@ def lattice_sphere_count(rank, radius):
     for first in range(-radius, radius + 1):
         count += lattice_sphere_count(rank - 1, radius - abs(first))
     return count
+
+
+class TupleFreeWords:
+    """Reference free group of rank ``k``: reduced words as tuples of signed
+    letters (``1`` the first generator, ``-1`` its inverse, …), reduced
+    letter by letter with no encoding, against which the byte words of
+    ``FreeGroup`` are checked."""
+
+    def __init__(self, rank):
+        self.rank = rank
+
+    def reduce(self, letters):
+        out = []
+        for letter in letters:
+            if out and out[-1] == -letter:
+                out.pop()
+            else:
+                out.append(letter)
+        return tuple(out)
+
+    def multiply(self, g, h):
+        return self.reduce(g + h)
+
+    def inverse(self, g):
+        return tuple(-letter for letter in reversed(g))
+
+    def left_divide(self, g, h):
+        return self.multiply(self.inverse(g), h)
+
+    def to_str(self, g):
+        return "".join(chr(ord("a") + abs(letter) - 1).swapcase()
+                       if letter < 0 else chr(ord("a") + letter - 1)
+                       for letter in g)
+
+    def sort_key(self, g):
+        return (len(g), g)

@@ -16,9 +16,11 @@ from barnorm.chains import (
     push_forward,
     with_kernel_control,
 )
+from barnorm.errors import EnumerationTooLarge
 from barnorm.groups import Cyclic, FreeAbelian, FreeGroup
 
 F2 = FreeGroup(2)
+w = F2.word
 Z = FreeAbelian(1)
 Z2 = FreeAbelian(2)
 Z3 = Cyclic(3)
@@ -41,54 +43,54 @@ def random_chain(model, degree, support, radius, rng):
 
 class TestChainArithmetic:
     def test_cancellation(self):
-        c = Chain.single(F2, ((1,),))
+        c = Chain.single(F2, (w(1),))
         assert (c + c.scale(-1)).is_zero()
 
     def test_scale(self):
-        c = Chain.from_terms(F2, 1, [(((1,),), 1), (((2,),), 1)])
+        c = Chain.from_terms(F2, 1, [((w(1),), 1), ((w(2),), 1)])
         half = c.scale(Fraction(1, 2))
-        assert half.coefficient(((1,),)) == Fraction(1, 2)
-        assert half.coefficient(((2,),)) == Fraction(1, 2)
+        assert half.coefficient((w(1),)) == Fraction(1, 2)
+        assert half.coefficient((w(2),)) == Fraction(1, 2)
         assert Fraction(1, 2) * c == half
         assert c.scale(0).is_zero()
 
     def test_disjoint_support_adds(self):
         rng = random.Random(2)
         a = random_chain(F2, 2, 5, 2, rng)
-        terms = [((s[0], F2.multiply(s[1], (1, 1, 1, 1, 1))), v)
+        terms = [((s[0], F2.multiply(s[1], w(1, 1, 1, 1, 1))), v)
                  for s, v in a.terms()]
         b = Chain.from_terms(F2, 2, terms)
         if not (set(a.support()) & set(b.support())):
             assert len(a + b) == len(a) + len(b)
 
     def test_from_terms_merges_duplicates(self):
-        c = Chain.from_terms(F2, 1, [(((1,),), Fraction(1, 2)),
-                                     (((1,),), Fraction(1, 3))])
-        assert c.coefficient(((1,),)) == Fraction(5, 6)
+        c = Chain.from_terms(F2, 1, [((w(1),), Fraction(1, 2)),
+                                     ((w(1),), Fraction(1, 3))])
+        assert c.coefficient((w(1),)) == Fraction(5, 6)
 
     def test_mismatch_errors(self):
-        c1 = Chain.single(F2, ((1,),))
+        c1 = Chain.single(F2, (w(1),))
         c2 = Chain.single(Z2, ((1, 0),))
         with pytest.raises(ValueError):
             c1 + c2
         with pytest.raises(ValueError):
-            c1 + Chain.single(F2, ((1,), (2,)))
+            c1 + Chain.single(F2, (w(1), w(2)))
         with pytest.raises(ValueError):
-            Chain.from_terms(F2, 1, [(((1, -1),), 1)])  # unreduced word
+            Chain.from_terms(F2, 1, [((w(1) + w(-1),), 1)])  # unreduced word
 
     def test_degenerate_simplices_are_kept(self):
         e = F2.identity
-        c = Chain.single(F2, (e, (1,), (1,)))
-        assert len(c) == 1 and c.coefficient((e, (1,), (1,))) == 1
+        c = Chain.single(F2, (e, w(1), w(1)))
+        assert len(c) == 1 and c.coefficient((e, w(1), w(1))) == 1
 
 
 class TestBoundary:
     def test_two_simplex_expansion(self):
         # [e, a, a^2 b] -> [e, ab] - [e, a^2 b] + [e, a]
-        bd = boundary(Chain.single(F2, ((1,), (1, 1, 2))))
-        assert bd.coefficient(((1, 2),)) == 1
-        assert bd.coefficient(((1, 1, 2),)) == -1
-        assert bd.coefficient(((1,),)) == 1
+        bd = boundary(Chain.single(F2, (w(1), w(1, 1, 2))))
+        assert bd.coefficient((w(1, 2),)) == 1
+        assert bd.coefficient((w(1, 1, 2),)) == -1
+        assert bd.coefficient((w(1),)) == 1
         assert len(bd) == 3
 
     def test_degree_one_vanishes(self):
@@ -163,14 +165,14 @@ class TestHomomorphisms:
             GroupHomomorphism(Z5, Z, [(1,)])
         # abelian source needs commuting images
         with pytest.raises(ValueError):
-            GroupHomomorphism(Z2, F2, [(1,), (2,)])
+            GroupHomomorphism(Z2, F2, [w(1), w(2)])
         # commuting free images are fine
-        GroupHomomorphism(Z2, F2, [(1,), (1, 1)])
+        GroupHomomorphism(Z2, F2, [w(1), w(1, 1)])
 
     def test_wrong_model_rejected(self):
         proj = GroupHomomorphism(Z2, Z, [(1,), (0,)])
         with pytest.raises(ValueError):
-            push_forward(proj, Chain.single(F2, ((1,),)))
+            push_forward(proj, Chain.single(F2, (w(1),)))
 
     def test_kernel_certificates(self):
         proj = with_kernel_control(
@@ -185,6 +187,14 @@ class TestHomomorphisms:
         for r in range(1, 13):
             assert kernel_ball_count(red, r) == 2 * (r // 5) + 1
 
+    def test_kernel_certificates_take_the_cap(self):
+        red = GroupHomomorphism(Z, Z5, [1])
+        assert kernel_control_constant(red, 1, 2, cap=5) == 1
+        with pytest.raises(EnumerationTooLarge, match=r"ball\(3\) of abelian:1"):
+            kernel_control_constant(red, 1, 3, cap=5)
+        with pytest.raises(EnumerationTooLarge):
+            with_kernel_control(red, 1, 3, cap=5)
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):
@@ -198,7 +208,7 @@ class TestSerialization:
             assert chain_to_records(back) == records
 
     def test_coefficients_as_reduced_fractions(self):
-        c = Chain.single(F2, ((1,),), Fraction(2, 4))
+        c = Chain.single(F2, (w(1),), Fraction(2, 4))
         assert chain_to_records(c) == [{"simplex": ["a"], "coeff": "1/2"}]
 
     def test_degree_inference_and_errors(self):

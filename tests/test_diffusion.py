@@ -12,7 +12,9 @@ from barnorm.norms import weighted_norm
 
 F2 = FreeGroup(2)
 Z2 = FreeAbelian(2)
-A = (1,)
+w = F2.word
+A = w(1)
+E = F2.identity
 
 
 def operator(model=F2, degree=2, cap=None):
@@ -40,7 +42,7 @@ class TestAnnuli:
             assert set(op.annulus(1)) == set(F2.sphere(1))
 
     def test_radius_zero_is_identity(self):
-        assert operator().annulus(0) == ((),)
+        assert operator().annulus(0) == (E,)
 
     def test_lengths_match_float_thresholds(self):
         for n in (2, 3, 5, 10, 20):
@@ -99,7 +101,7 @@ class TestCone:
         coned = op.cone(Chain.single(F2, (A,)))
         assert len(coned) == 4
         assert all(value == Fraction(1, 4) for _, value in coned.terms())
-        assert coned.coefficient(((-1,), ())) == Fraction(1, 4)
+        assert coned.coefficient((w(-1), E)) == Fraction(1, 4)
 
     def test_zero_and_linearity(self):
         op = operator()
@@ -115,15 +117,15 @@ class TestCone:
 
     def test_mass_preserved_per_simplex(self):
         op = operator()
-        c = Chain.single(F2, ((1, 2),), Fraction(5, 3))
+        c = Chain.single(F2, (w(1, 2),), Fraction(5, 3))
         coned = op.cone(c)
         assert coned.coefficient_sum() == Fraction(5, 3)
         assert len(coned) == len(op.annulus(2))
 
     def test_degenerate_simplex_coned_on_identity(self):
         op = operator()
-        coned = op.cone(Chain.single(F2, ((), ())))
-        assert coned.coefficient(((), (), ())) == 1 and len(coned) == 1
+        coned = op.cone(Chain.single(F2, (E, E)))
+        assert coned.coefficient((E, E, E)) == 1 and len(coned) == 1
 
     def test_empty_annulus_in_finite_group(self):
         op = operator(model=Cyclic(7))
@@ -142,10 +144,10 @@ class TestChainMap:
         mapped = op.chain_map(Chain.single(F2, (A,)))
         quarter = Fraction(1, 4)
         expected = Chain.from_terms(F2, 1, [
-            (((),), quarter), (((1, 1),), quarter),
-            (((-2, 1),), quarter), (((2, 1),), quarter),
-            ((A,), -quarter), (((-1,),), -quarter),
-            (((2,),), -quarter), (((-2,),), -quarter),
+            ((E,), quarter), ((w(1, 1),), quarter),
+            ((w(-2, 1),), quarter), ((w(2, 1),), quarter),
+            ((A,), -quarter), ((w(-1),), -quarter),
+            ((w(2),), -quarter), ((w(-2),), -quarter),
         ])
         assert mapped == expected
 
@@ -207,12 +209,12 @@ class TestChainMap:
 
 class TestAccumulation:
     def test_single_simplex(self):
-        report = operator().check_accumulation(Chain.single(F2, (A, (1, 2))))
+        report = operator().check_accumulation(Chain.single(F2, (A, w(1, 2))))
         assert report.ok and report.simplices_checked == len(operator().annulus(2))
 
     def test_exhaustive_small_ball(self):
         op = operator()
-        ball = [g for g in F2.ball(2) if g != ()]
+        ball = [g for g in F2.ball(2) if g != E]
         edges = Chain.from_terms(F2, 1, [((g,), 1) for g in ball])
         report = op.check_accumulation(edges)
         assert report.ok and not report.violations
@@ -232,8 +234,8 @@ class TestAccumulation:
 
     def test_diameter_bound_is_two_r_to_the_n(self):
         op = operator()
-        c = Chain.single(F2, ((1, 2),))
-        r = F2.diameter(((1, 2),))
+        c = Chain.single(F2, (w(1, 2),))
+        r = F2.diameter((w(1, 2),))
         bound = 2 * r**2
         for s in op.cone(c).support():
             assert F2.diameter(s) <= bound

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from barnorm.errors import EnumerationTooLarge
 from barnorm.groups import (
@@ -13,9 +14,10 @@ from barnorm.groups import (
     growth_constant,
     parse_model,
 )
-from oracles import bfs_distances, bfs_spheres, lattice_sphere_count
+from oracles import TupleFreeWords, bfs_distances, bfs_spheres, lattice_sphere_count
 
 F2 = FreeGroup(2)
+w = F2.word
 Z = FreeAbelian(1)
 Z2 = FreeAbelian(2)
 Z5 = Cyclic(5)
@@ -24,11 +26,11 @@ Z7 = Cyclic(7)
 
 class TestMultiplication:
     def test_inverse_cancellation(self):
-        assert F2.multiply((1,), (-1,)) == ()
+        assert F2.multiply(w(1), w(-1)) == F2.identity == b""
 
     def test_reduction_at_junction(self):
         # ab * Ba reduces to a^2
-        assert F2.multiply((1, 2), (-2, 1)) == (1, 1)
+        assert F2.multiply(w(1, 2), w(-2, 1)) == w(1, 1)
 
     def test_vector_addition(self):
         assert Z2.multiply((1, 2), (3, -2)) == (4, 0)
@@ -71,8 +73,8 @@ class TestMultiplication:
                     model.multiply(model.inverse(g), h)
 
     def test_power(self):
-        assert F2.power((1,), 5) == (1,) * 5
-        assert F2.power((1,), -2) == (-1, -1)
+        assert F2.power(w(1), 5) == w(1) * 5
+        assert F2.power(w(1), -2) == w(-1, -1)
         assert Z5.power(2, 7) == 14 % 5
 
 
@@ -82,7 +84,7 @@ class TestWordLength:
             assert model.word_length(model.identity) == 0
 
     def test_reduced_word_length(self):
-        assert F2.word_length((1, 2, -1)) == 3
+        assert F2.word_length(w(1, 2, -1)) == 3
 
     def test_cyclic_matches_bfs(self):
         dist = bfs_distances(Z5, 3)
@@ -112,8 +114,8 @@ class TestWordLength:
 
 class TestDistanceAndDiameter:
     def test_examples(self):
-        assert F2.distance((1,), (1, 2)) == 1
-        assert F2.distance((1,), (2,)) == 2
+        assert F2.distance(w(1), w(1, 2)) == 1
+        assert F2.distance(w(1), w(2)) == 2
         assert Z2.distance((0, 0), (2, 3)) == 5
 
     def test_left_invariance(self):
@@ -143,8 +145,8 @@ class TestDistanceAndDiameter:
                     assert di[k] <= dij + dj[k]
 
     def test_diameter_examples(self):
-        assert F2.diameter(((1,),)) == 1
-        assert F2.diameter(((1,), (1, 2))) == 2
+        assert F2.diameter((w(1),)) == 1
+        assert F2.diameter((w(1), w(1, 2))) == 2
         for model in (F2, Z2, Z5):
             assert model.diameter((model.identity,) * 3) == 0
 
@@ -164,9 +166,9 @@ class TestDistanceAndDiameter:
 
 class TestSpheresAndBalls:
     def test_f2_small_spheres(self):
-        assert set(F2.sphere(1)) == {(1,), (-1,), (2,), (-2,)}
+        assert set(F2.sphere(1)) == {w(1), w(-1), w(2), w(-2)}
         assert len(F2.sphere(2)) == 12
-        assert F2.sphere(0) == ((),)
+        assert F2.sphere(0) == (w(),)
 
     def test_z2_sphere_brute_force(self):
         assert len(Z2.sphere(3)) == 12 == lattice_sphere_count(2, 3)
@@ -223,7 +225,7 @@ class TestProductModel:
     def test_structure(self):
         model = parse_model("product:[free:2,cyclic:3]")
         assert model.describe() == "product:[free:2,cyclic:3]"
-        g = ((1, 2), 2)
+        g = (w(1, 2), 2)
         assert model.word_length(g) == 3
         assert model.multiply(g, model.inverse(g)) == model.identity
 
@@ -243,11 +245,11 @@ class TestProductModel:
 
 class TestSerialization:
     def test_free_words(self):
-        assert F2.element_to_str((1, -2, 1)) == "aBa"
-        assert F2.element_from_str("aBa") == (1, -2, 1)
-        assert F2.element_from_str("") == ()
+        assert F2.element_to_str(w(1, -2, 1)) == "aBa"
+        assert F2.element_from_str("aBa") == w(1, -2, 1)
+        assert F2.element_from_str("") == w()
         # unreduced input is reduced on parse
-        assert F2.element_from_str("aA") == ()
+        assert F2.element_from_str("aA") == w()
 
     def test_vectors_and_residues(self):
         assert Z2.element_to_str((1, -2)) == "1,-2"
@@ -256,7 +258,7 @@ class TestSerialization:
 
     def test_product_elements(self):
         model = parse_model("product:[free:2,cyclic:3]")
-        g = ((1, 2), 2)
+        g = (w(1, 2), 2)
         assert model.element_from_str(model.element_to_str(g)) == g
 
     def test_descriptor_round_trip(self):
@@ -288,3 +290,91 @@ class TestGrowthConstant:
             constant = growth_constant(model, degree, 12)
             for r in range(1, 13):
                 assert model.ball_size(r) <= constant * r**degree
+
+
+@st.composite
+def letter_sequences(draw, count=1):
+    """A rank in 1..3 and ``count`` sequences of its signed letters."""
+    rank = draw(st.integers(1, 3))
+    letters = st.sampled_from([s * i for i in range(1, rank + 1)
+                               for s in (1, -1)])
+    return rank, [tuple(draw(st.lists(letters, max_size=12)))
+                  for _ in range(count)]
+
+
+def letters_of(model, g):
+    return tuple((i + 1) * e for i, e in model.generator_word(g))
+
+
+class TestByteWords:
+    """``FreeGroup``'s byte words against the tuple-word reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(letter_sequences())
+    def test_word_and_generator_word_round_trip(self, case):
+        rank, [letters] = case
+        model, ref = FreeGroup(rank), TupleFreeWords(rank)
+        g = model.word(*letters)
+        model.validate(g)
+        assert letters_of(model, g) == ref.reduce(letters)
+        assert model.word(*letters_of(model, g)) == g
+        assert len(g) == model.word_length(g) == len(ref.reduce(letters))
+
+    @settings(max_examples=300, deadline=None)
+    @given(letter_sequences(count=2))
+    def test_group_law_matches_reference(self, case):
+        rank, sequences = case
+        model, ref = FreeGroup(rank), TupleFreeWords(rank)
+        g_ref, h_ref = (ref.reduce(letters) for letters in sequences)
+        g, h = (model.word(*letters) for letters in sequences)
+        assert model.multiply(g, h) == model.word(*ref.multiply(g_ref, h_ref))
+        assert model.inverse(g) == model.word(*ref.inverse(g_ref))
+        assert model._left_divide(g, h) == \
+            model.word(*ref.left_divide(g_ref, h_ref))
+        for word in (model.multiply(g, h), model.inverse(g),
+                     model._left_divide(g, h)):
+            model.validate(word)
+
+    @settings(max_examples=300, deadline=None)
+    @given(letter_sequences())
+    def test_text_matches_reference(self, case):
+        rank, [letters] = case
+        model, ref = FreeGroup(rank), TupleFreeWords(rank)
+        g = model.word(*letters)
+        text = model.element_to_str(g)
+        assert text == ref.to_str(ref.reduce(letters))
+        assert model.element_from_str(text) == g
+        # unreduced text is reduced on parse, as word() reduces letters
+        assert model.element_from_str(ref.to_str(letters)) == g
+
+    @settings(max_examples=200, deadline=None)
+    @given(letter_sequences(count=6))
+    def test_sort_key_order_matches_reference(self, case):
+        rank, sequences = case
+        model, ref = FreeGroup(rank), TupleFreeWords(rank)
+        words = [ref.reduce(letters) for letters in sequences]
+        by_bytes = sorted((model.word(*g) for g in words), key=model.sort_key)
+        by_letters = sorted(words, key=ref.sort_key)
+        assert by_bytes == [model.word(*g) for g in by_letters]
+
+    @settings(max_examples=200, deadline=None)
+    @given(letter_sequences(count=2), st.data())
+    def test_validate_rejects_non_canonical(self, case, data):
+        rank, sequences = case
+        model = FreeGroup(rank)
+        g, h = (model.word(*letters) for letters in sequences)
+        bad = data.draw(st.integers(2 * rank, 255))
+        with pytest.raises(ValueError, match="out of range"):
+            model.validate(g + bytes((bad,)) + h)
+        letter = data.draw(st.sampled_from(model.generators))
+        unreduced = g + letter + model.inverse(letter) + h
+        with pytest.raises(ValueError, match="not reduced"):
+            model.validate(unreduced)
+        with pytest.raises(ValueError, match="FreeGroup.word"):
+            model.validate(tuple(sequences[0]))
+
+    def test_identity_and_letter_errors(self):
+        assert F2.identity == b"" == w()
+        for letter in (0, 3, -3, 1.0):
+            with pytest.raises(ValueError, match="out of range"):
+                w(letter)

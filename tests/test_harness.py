@@ -279,10 +279,32 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_f2_negative_levels_rejected(self, tmp_path, capsys):
-        code = self.run("f2-vanish", "--levels", "-1",
-                        "--outdir", str(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exit_info:
+            self.run("f2-vanish", "--levels", "-1",
+                     "--outdir", str(tmp_path / "out"))
+        assert exit_info.value.code == 2
+        assert "argument --levels: invalid value '-1' (must be >= 0)" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", ["--p", "--q"])
+    def test_exponent_below_one_names_option(self, tmp_path, capsys, option):
+        with pytest.raises(SystemExit) as exit_info:
+            self.run("norms", option, "0.5", "--outdir", str(tmp_path / "out"))
+        assert exit_info.value.code == 2
+        assert f"argument {option}: invalid exponent '0.5' (must be >= 1)" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_certificate_enumerates_within_the_cap(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setenv("BARNORM_ENUM_CAP", "5")
+        code = self.run("pushforward", "--outdir", str(tmp_path / "out"))
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        # the certificate's radius-2 ball (13 elements) fails, not the
+        # radius-6 chain draw
+        assert "ball(2) of abelian:2: predicted size 13 exceeds cap 5" in \
+            capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_config_file_defaults(self, tmp_path):

@@ -36,8 +36,10 @@ F2 = FreeGroup(2)
 Z = FreeAbelian(1)
 Z2 = FreeAbelian(2)
 
-A = (1,)
-B = (2,)
+word = F2.word
+A = word(1)
+B = word(2)
+E = F2.identity
 
 
 def chains_for(model, degree, count, seed, radius=3, support=8):
@@ -54,15 +56,15 @@ class TestWeightedNorm:
                 assert weighted_norm(c, n, p) == 1.0
 
     def test_weighted_value(self):
-        c = Chain.single(F2, ((1, 2),), 2)
+        c = Chain.single(F2, (word(1, 2),), 2)
         assert abs(weighted_norm(c, 3, 2) - 2 * 2**1.5) < 1e-12
 
     def test_sup_norm(self):
-        c = Chain.single(F2, ((1, 1),), 3)
+        c = Chain.single(F2, (word(1, 1),), 3)
         assert weighted_norm(c, 1, INF) == 6.0
 
     def test_zero_weight_convention(self):
-        degenerate = Chain.single(F2, ((), ()))
+        degenerate = Chain.single(F2, (E, E))
         assert weighted_norm(degenerate, 0, 2) == 1.0  # plain lp norm at n=0
         assert weighted_norm(degenerate, 1, 2) == 0.0
         assert weighted_norm(degenerate, 2, INF) == 0.0
@@ -72,7 +74,7 @@ class TestWeightedNorm:
 
     def test_exact_power_sum(self):
         c = Chain.from_terms(F2, 1, [((A,), Fraction(1, 3)),
-                                     (((1, 2),), Fraction(-2, 5))])
+                                     ((word(1, 2),), Fraction(-2, 5))])
         assert weighted_power_sum(c, 1, 2) == \
             Fraction(1, 9) * 1 + Fraction(4, 25) * 2
         assert weighted_power_sum(c, 0, 1) == Fraction(1, 3) + Fraction(2, 5)
@@ -104,7 +106,7 @@ class TestWeightedNorm:
     @pytest.mark.parametrize("p", [2, 3])
     def test_integer_exponent_roots_sums_beyond_float_range(self, p):
         # the power sum 12**300 exceeds float range; its root does not
-        c = Chain.single(F2, ((1,) * 12,))
+        c = Chain.single(F2, (A * 12,))
         total = weighted_power_sum(c, 300, p)
         with localcontext() as ctx:
             ctx.prec = 40
@@ -116,14 +118,14 @@ class TestWeightedNorm:
     @pytest.mark.parametrize("p", [1.5, INF])
     def test_value_beyond_float_range_raises(self, p):
         # 10**200 · 12**150 leaves float range in a single term
-        c = Chain.single(F2, ((1,) * 12,), 10**200)
+        c = Chain.single(F2, (A * 12,), 10**200)
         with pytest.raises(OverflowError):
             weighted_norm(c, 150, p)
 
     def test_deterministic_across_support_order(self):
         # same chain built in two different term orders
         terms = [((A,), Fraction(1, 3)), ((B,), Fraction(2, 7)),
-                 (((1, 2),), Fraction(-5, 11))]
+                 ((word(1, 2),), Fraction(-5, 11))]
         c1 = Chain.from_terms(F2, 1, terms)
         c2 = Chain.from_terms(F2, 1, terms[::-1])
         for p in (1.5, 2.5):
@@ -132,7 +134,7 @@ class TestWeightedNorm:
 
 class TestFrechetSeminorm:
     def test_two_simplex_value(self):
-        c = Chain.single(F2, (A, (1, 1, 2)))
+        c = Chain.single(F2, (A, word(1, 1, 2)))
         assert abs(frechet_seminorm(c, 0, 2) - (1 + math.sqrt(3))) < 1e-12
 
     def test_cycle_reduces_to_norm(self):
@@ -140,7 +142,7 @@ class TestFrechetSeminorm:
         assert frechet_seminorm(c, 2, 2) == weighted_norm(c, 2, 2)
 
     def test_homogeneity(self):
-        c = Chain.single(F2, (A, (1, 1, 2)))
+        c = Chain.single(F2, (A, word(1, 1, 2)))
         assert abs(frechet_seminorm(c.scale(2), 1, 3)
                    - 2 * frechet_seminorm(c, 1, 3)) < 1e-12
 
@@ -162,7 +164,7 @@ class TestContractivity:
         assert r.ok
 
     def test_sup_comparison(self):
-        r = check_contractivity(Chain.single(F2, ((1, 1),), 5), 1, 2, 4)
+        r = check_contractivity(Chain.single(F2, (word(1, 1),), 5), 1, 2, 4)
         assert r.norm_sup == 10.0
         assert abs(r.norm_ceil - 10.0) < 1e-12
         assert r.ceil_exponent == 2
@@ -175,7 +177,7 @@ class TestContractivity:
     def test_overflow_raises_instead_of_passing(self):
         # both sides of the sup comparison would read inf, and inf <= inf
         # would pass
-        c = Chain.single(F2, ((1,) * 12,), 10**200)
+        c = Chain.single(F2, (A * 12,), 10**200)
         with pytest.raises(OverflowError):
             check_contractivity(c, 150, 1.5, INF)
 
