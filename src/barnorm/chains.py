@@ -10,7 +10,9 @@ Chains are finitely supported formal sums with exact rational coefficients.
 Internally a chain keeps integer numerators over a single positive common
 denominator, which keeps the hot accumulation loops in machine-int land;
 every coefficient visible through the API is an exact ``Fraction``.  Chains
-are immutable values and safe to share across workers.
+are values (nothing writes their numerators after construction); the norms'
+``_profile`` memo on a chain and a homomorphism's ``_cache`` are idempotent
+fills that a race only recomputes, so both are safe to share across workers.
 
 The boundary convention re-bases the 0th face at the identity:
 
@@ -40,7 +42,7 @@ def _as_fraction(value) -> Fraction:
 class Chain:
     """A finitely supported chain of one degree over one group model."""
 
-    __slots__ = ("model", "degree", "_denom", "_numer")
+    __slots__ = ("model", "degree", "_denom", "_numer", "_profile")
 
     def __init__(self, model: GroupModel, degree: int, _denom: int = 1,
                  _numer: Optional[dict] = None):
@@ -72,6 +74,7 @@ class Chain:
             _denom = 1
         self._denom = _denom
         self._numer = numer
+        self._profile = None  # the norms' weight profile, filled on first use
 
     # -- construction ------------------------------------------------------
 

@@ -32,7 +32,8 @@ way.  The cap (``--cap``, or that default) bounds the ball of every chain
 draw (norms, compare-pq, pushforward, diffuse, all), the annuli of diffuse
 and the kernel-control balls of pushforward and all; a command that would
 exceed it exits with status 2 and writes nothing.  Exponent options below 1
-and a negative ``--levels`` are usage errors that name the option.
+and negative counts, degrees, radii or levels are usage errors naming the
+option.
 """
 
 from __future__ import annotations
@@ -146,42 +147,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="sphere/ball counts and the growth constant")
     common(p)
     p.add_argument("--model", default="abelian:2")
-    p.add_argument("--growth-degree", type=int, default=2)
+    p.add_argument("--growth-degree", type=_non_negative_int, default=2)
     p.add_argument("--r-max", type=int, default=10)
 
     p = sub.add_parser("norms", help="contractivity checks on random chains")
     common(p)
     p.add_argument("--model", default="free:2")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--k", type=_non_negative_int, default=1)
+    p.add_argument("--n", type=_non_negative_int, default=1)
     p.add_argument("--p", type=_exponent, default=2.0)
     p.add_argument("--q", type=_exponent, default=4.0)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--support", type=int, default=8)
+    p.add_argument("--trials", type=_non_negative_int, default=50)
+    p.add_argument("--radius", type=_non_negative_int, default=3)
+    p.add_argument("--support", type=_non_negative_int, default=8)
 
     p = sub.add_parser("compare-pq", help="polynomial-growth norm comparison")
     common(p)
     p.add_argument("--model", default="abelian:2")
-    p.add_argument("--growth-degree", type=int, default=2)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--growth-degree", type=_non_negative_int, default=2)
+    p.add_argument("--k", type=_non_negative_int, default=1)
+    p.add_argument("--n", type=_non_negative_int, default=0)
     p.add_argument("--p", type=_exponent, default=2.0)
     p.add_argument("--q", type=_exponent, default=4.0)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--radius", type=int, default=8)
-    p.add_argument("--support", type=int, default=10)
+    p.add_argument("--trials", type=_non_negative_int, default=50)
+    p.add_argument("--radius", type=_non_negative_int, default=8)
+    p.add_argument("--support", type=_non_negative_int, default=10)
 
     p = sub.add_parser("pushforward", help="functoriality norm estimates")
     common(p)
     p.add_argument("--hom", default="abelian2-to-z",
                    choices=sorted(harness.EXAMPLE_HOMOMORPHISMS))
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--k", type=_non_negative_int, default=1)
+    p.add_argument("--n", type=_non_negative_int, default=0)
     p.add_argument("--p", type=_exponent, default=1.0)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--radius", type=int, default=6)
-    p.add_argument("--support", type=int, default=8)
+    p.add_argument("--trials", type=_non_negative_int, default=50)
+    p.add_argument("--radius", type=_non_negative_int, default=6)
+    p.add_argument("--support", type=_non_negative_int, default=8)
 
     p = sub.add_parser("diffuse", help="diffusion cone homotopy and bound checks")
     common(p)
@@ -189,13 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=2, dest="annuli_degree",
                    help="annuli degree (values <= 10 are flagged non-conforming)")
     p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_non_negative_int, default=1)
     p.add_argument("--p", type=_exponent, default=2.0)
     p.add_argument("--q", type=_exponent, default=4.0)
     p.add_argument("--ratio-m", type=int, default=None)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--support", type=int, default=3)
+    p.add_argument("--trials", type=_non_negative_int, default=20)
+    p.add_argument("--radius", type=_non_negative_int, default=2)
+    p.add_argument("--support", type=_non_negative_int, default=3)
     p.add_argument("--max-diameter", type=int, default=None)
     p.add_argument("--chain", type=Path, default=None,
                    help="verify one chain from a JSON record file instead")

@@ -36,7 +36,7 @@ from math import inf, lcm
 from .chains import Chain, _accumulate, boundary
 from .errors import EmptyAnnulus, EnumerationTooLarge
 from .groups import DEFAULT_ENUM_CAP, GroupModel
-from .norms import _ratio, diameter_map, leq_with_slack, weighted_norm
+from .norms import _ratio, leq_with_slack, weighted_norm
 
 
 @dataclass(frozen=True)
@@ -369,13 +369,12 @@ class DiffusionOperator:
             mapped = mapped - self.cone(d_chain)
         homotopy_exact = fused == mapped
 
-        diams_c = diameter_map(chain)
         lhs = weighted_norm(coned, n, p)
-        rhs = 2.0 ** (n / float(p)) * weighted_norm(chain, n_deg * n, p, diams_c)
+        rhs = 2.0 ** (n / float(p)) * weighted_norm(chain, n_deg * n, p)
         m = ratio_exponent
 
-        base_q = weighted_norm(chain, m, q, diams_c)
-        base_p = weighted_norm(chain, m, p, diams_c)
+        base_q = weighted_norm(chain, m, q)
+        base_p = weighted_norm(chain, m, p)
         d_base_q = weighted_norm(d_chain, m, q)
         d_base_p = weighted_norm(d_chain, m, p)
         return DiffusionReport(

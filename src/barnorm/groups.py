@@ -52,8 +52,8 @@ _EXACT_COUNT_LIMIT = 1_000_000
 class GroupModel:
     """A finitely generated group with its marked symmetric generating set.
 
-    Immutable after construction; all operations are pure functions, so a
-    model may be shared freely between concurrent workers.
+    Pure functions throughout; the memos (``_ball_cache``, a product's
+    ``_sphere_counts``) are idempotent fills, so models are safe to share.
     """
 
     kind: str
@@ -103,20 +103,18 @@ class GroupModel:
         raise NotImplementedError
 
     def distance(self, g, h) -> int:
-        return self.word_length(self.multiply(self.inverse(g), h))
+        return self.word_length(self._left_divide(g, h))
 
     def diameter(self, vertices: tuple) -> int:
         """Max pairwise word distance among the identity and ``vertices``."""
+        length, ldiv = self.word_length, self._left_divide
         best = 0
-        for v in vertices:
-            n = self.word_length(v)
+        for i, g in enumerate(vertices):
+            n = length(g)
             if n > best:
                 best = n
-        k = len(vertices)
-        for i in range(k):
-            gi_inv = self.inverse(vertices[i])
-            for j in range(i + 1, k):
-                n = self.word_length(self.multiply(gi_inv, vertices[j]))
+            for h in vertices[i + 1:]:
+                n = length(ldiv(g, h))
                 if n > best:
                     best = n
         return best
@@ -642,6 +640,7 @@ def growth_constant(model: GroupModel, degree: int, r_max: int) -> Fraction:
 
 def _smallest_constant(count: Callable, degree: int, r_max: int) -> Fraction:
     """The exact max of ``count(r) / r**degree`` over ``1 <= r <= r_max``."""
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
+    if r_max < 1 or degree < 0:
+        raise ValueError(f"need r_max >= 1 and growth degree >= 0, got "
+                         f"r_max={r_max}, degree={degree}")
     return max(Fraction(count(r), r**degree) for r in range(1, r_max + 1))

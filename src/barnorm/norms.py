@@ -10,16 +10,18 @@ with the convention 0^0 := 1, so that ``n = 0`` gives the plain lp norm; for
 ``n >= 1`` degenerate simplices carry weight zero (the norms are then
 seminorms — the Fréchet family adds the boundary norm to separate points).
 
-Coefficients stay exact rationals until a norm value is needed.  Every lp
-value in this module — chain norms and the norms of fibered families alike —
-comes from one evaluator, which takes integer numerators ``a`` over a common
-denominator ``D`` with integer weights ``w`` and has three regimes:
+Coefficients stay exact rationals until a norm value is needed.  A chain's
+norms read its weight profile ``{(|a|, diam): count}`` over its integer
+numerators ``a`` (common denominator ``D``), built with one ``diameter`` call
+per simplex at the chain's first norm and kept on the chain.  Every lp value
+here — chain norms and fibered families alike — comes from one evaluator
+over ``(|a|, w, count)`` terms, ``w = diam^n``, with three regimes:
 
 * ``p = ∞`` (the distinct value ``math.inf``): the largest ``|a|·(1/D)·w``;
-* integer ``p``: the exact rational ``Σ|a|^p·w / D^p``, rooted once at the
+* integer ``p``: the exact ``Σ count·|a|^p·w / D^p``, rooted once at the
   end; a sum beyond float range is rooted through its logarithm;
-* fractional ``p``: ``math.fsum`` of ``(|a|·(1/D))^p·w``, whose correctly
-  rounded result does not depend on summation order.
+* fractional ``p``: ``math.fsum`` of ``(|a|·(1/D))^p·w`` repeated ``count``
+  times — one float per simplex, summed exactly and rounded once.
 
 A norm value beyond float range raises ``OverflowError`` at every ``p``, so
 an inequality whose two sides both overflow can never pass as ``inf <= inf``.
@@ -33,9 +35,10 @@ strictly ordered in exact arithmetic.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain as concat, repeat
 from typing import Iterable, Optional
 
 from .chains import Chain, GroupHomomorphism, boundary, push_forward
@@ -90,29 +93,25 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 
 def _exponent_as_int(p) -> Optional[int]:
-    if isinstance(p, int):
-        return p
-    if isinstance(p, Fraction) and p.denominator == 1:
-        return p.numerator
-    if isinstance(p, float) and p != INF and p.is_integer():
+    if p != INF and p == int(p):
         return int(p)
     return None
 
 
-def _power_sum(pairs: Iterable[tuple], denom: int, p: int) -> Fraction:
-    """Exact Σ |a|^p · w / denom^p over ``(a, w)`` pairs."""
-    return Fraction(sum(abs(a) ** p * w for a, w in pairs), denom**p)
+def _power_sum(terms: Iterable[tuple], denom: int, p: int) -> Fraction:
+    """Exact Σ count · a^p · w / denom^p over ``(a, w, count)`` terms."""
+    return Fraction(sum(count * a**p * w for a, w, count in terms), denom**p)
 
 
-def _lp(pairs: Iterable[tuple], denom: int, p) -> float:
-    """The lp value of ``(numerator, weight)`` pairs over the common
-    denominator ``denom``: (Σ |a/denom|^p · w)^{1/p}, or sup |a/denom| · w
-    at p = ∞; see the module docstring for the three regimes."""
+def _lp(terms: Iterable[tuple], denom: int, p) -> float:
+    """(Σ count · (a/denom)^p · w)^{1/p} over ``(a, w, count)`` terms with
+    ``a >= 0``, or the largest (a/denom) · w at p = ∞; see the module
+    docstring for the three regimes."""
     if not p >= 1:
         raise ValueError("exponent p must be >= 1")
     p_int = _exponent_as_int(p)
     if p_int is not None:
-        total = _power_sum(pairs, denom, p_int)
+        total = _power_sum(terms, denom, p_int)
         try:
             return float(total) ** (1.0 / p_int)
         except OverflowError:
@@ -121,11 +120,12 @@ def _lp(pairs: Iterable[tuple], denom: int, p) -> float:
             return math.exp(log_total / p_int)
     inv_denom = 1.0 / denom
     if p == INF:
-        value = max((abs(a) * inv_denom * w for a, w in pairs), default=0.0)
+        value = max((a * inv_denom * w for a, w, _ in terms), default=0.0)
     else:
         p = float(p)
-        value = math.fsum((abs(a) * inv_denom) ** p * w
-                          for a, w in pairs) ** (1.0 / p)
+        value = math.fsum(concat.from_iterable(
+            repeat((a * inv_denom) ** p * w, count)
+            for a, w, count in terms)) ** (1.0 / p)
     if not math.isfinite(value):  # a term times its weight left float range
         raise OverflowError(f"lp value at p = {p} exceeds float range")
     return value
@@ -136,42 +136,43 @@ def _lp_of_rationals(values: Iterable[Fraction], p) -> float:
     denominator for :func:`_lp`."""
     values = list(values)
     denom = math.lcm(*(v.denominator for v in values))
-    return _lp(((v.numerator * (denom // v.denominator), 1) for v in values),
-               denom, p)
+    return _lp(((abs(v.numerator) * (denom // v.denominator), 1, 1)
+                for v in values), denom, p)
 
 
 def diameter_map(chain: Chain) -> dict:
-    """Diameter of every support simplex, computed once for reuse."""
-    diam = chain.model.diameter
-    return {s: diam(s) for s in chain._numer}
+    """Diameter of every support simplex."""
+    return dict(zip(chain._numer, map(chain.model.diameter, chain._numer)))
 
 
-def _weighted_pairs(chain: Chain, n: int, diameters: Optional[dict]):
-    """``(numerator, diam^n)`` per support simplex, with 0^0 := 1 so that
-    n = 0 is the plain lp norm; diameters come from ``diameters`` if given."""
-    numer = chain._numer
-    if n == 0:
-        return zip(numer.values(), repeat(1))
-    diam = chain.model.diameter if diameters is None else diameters.__getitem__
-    return zip(numer.values(), map(pow, map(diam, numer), repeat(n)))
+def _weight_profile(chain: Chain) -> Counter:
+    """The chain's ``{(|numerator|, diameter): count}``, filled on first use;
+    the only place this module computes diameters."""
+    if chain._profile is None:
+        numer = chain._numer
+        chain._profile = Counter(zip(map(abs, numer.values()),
+                                     map(chain.model.diameter, numer)))
+    return chain._profile
 
 
-def weighted_power_sum(chain: Chain, n: int, p: int,
-                       diameters: Optional[dict] = None) -> Fraction:
+def _weighted_terms(chain: Chain, n: int) -> list:
+    """``(|a|, diam^n, count)`` per profile entry (``0 ** 0 == 1``)."""
+    if n < 0:
+        raise ValueError(f"weight degree n must be >= 0, got {n}")
+    profile = _weight_profile(chain)
+    return [(a, d**n, count) for (a, d), count in profile.items()]
+
+
+def weighted_power_sum(chain: Chain, n: int, p: int) -> Fraction:
     """Exact value of Σ |a_g|^p · diam(g)^n for an integer exponent p."""
     if p < 1:
         raise ValueError("integer exponent must be >= 1")
-    return _power_sum(_weighted_pairs(chain, n, diameters), chain._denom, p)
+    return _power_sum(_weighted_terms(chain, n), chain._denom, p)
 
 
-def weighted_norm(chain: Chain, n: int, p,
-                  diameters: Optional[dict] = None) -> float:
-    """The (n, p)-weighted norm of ``chain`` as a float.
-
-    ``diameters`` may carry precomputed simplex diameters when several
-    norms of the same chain are evaluated.
-    """
-    return _lp(_weighted_pairs(chain, n, diameters), chain._denom, p)
+def weighted_norm(chain: Chain, n: int, p) -> float:
+    """The (n, p)-weighted norm of ``chain`` as a float."""
+    return _lp(_weighted_terms(chain, n), chain._denom, p)
 
 
 def frechet_seminorm(chain: Chain, n: int, p) -> float:
@@ -208,17 +209,16 @@ def check_contractivity(chain: Chain, n: int, p, q) -> ContractivityReport:
     """
     if not p < q:
         raise ValueError(f"need p < q, got p={p}, q={q}")
-    diams = diameter_map(chain)
-    norm_p = weighted_norm(chain, n, p, diams)
+    norm_p = weighted_norm(chain, n, p)
     m = math.ceil(n * Fraction(p))
-    norm_sup = weighted_norm(chain, n, INF, diams)
-    norm_ceil = weighted_norm(chain, m, p, diams)
+    norm_sup = weighted_norm(chain, n, INF)
+    norm_ceil = weighted_norm(chain, m, p)
     ok_sup = leq_with_slack(norm_sup, norm_ceil)
     if q == INF:
         norm_q = norm_sup
         ok = ok_sup
     else:
-        norm_q = weighted_norm(chain, n, q, diams)
+        norm_q = weighted_norm(chain, n, q)
         ok = leq_with_slack(norm_q, norm_p) and ok_sup
     return ContractivityReport(norm_p, norm_q, norm_sup, norm_ceil, m, ok)
 
@@ -265,9 +265,8 @@ def verify_comparison(chain: Chain, n: int, p, q, growth_degree: int,
     else:
         q_prime = 1.0 / (1.0 / float(p) - 1.0 / float(q))
     constant = (float(growth_constant) ** k * ZETA2) ** (1.0 / q_prime)
-    diams = diameter_map(chain)
-    lhs = weighted_norm(chain, n, p, diams)
-    rhs = constant * weighted_norm(chain, m, q, diams)
+    lhs = weighted_norm(chain, n, p)
+    rhs = constant * weighted_norm(chain, m, q)
     return InequalityReport(lhs, rhs, constant, m, leq_with_slack(lhs, rhs))
 
 

@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Optional
 from .chains import Chain, boundary
 from .errors import CollisionDetected
 from .groups import FreeGroup
-from .norms import INF, diameter_map, leq_with_slack, weighted_norm
+from .norms import INF, _weight_profile, leq_with_slack, weighted_norm
 
 ALPHA, BETA = FreeGroup(2).positive_generators
 _MARKER_DIGITS = bytes.maketrans(b"01", ALPHA + BETA)
@@ -226,19 +226,17 @@ class VanishingConstruction:
         for d, chunk, _, tail in self._telescope(max_level):
             if d == 0:
                 continue
-            diams = diameter_map(chunk)
-            tail_diams = diameter_map(tail)
-            max_coeff = float(max(abs(c) for _, c in chunk.terms()))
-            max_diam = max(diams.values())
+            profile = _weight_profile(chunk)
+            max_coeff = max(a for a, _ in profile) / chunk._denom
+            max_diam = max(diam for _, diam in profile)
             for (n, p), (increments, tails, envelopes) in zip(norm_params,
                                                                columns):
-                inc = weighted_norm(chunk, n, p, diams)
-                max_weight = 1 if n == 0 else max_diam**n
+                inc = weighted_norm(chunk, n, p)
                 if p == INF:
-                    envelope = max_coeff * max_weight
+                    envelope = max_coeff * max_diam**n
                 else:
                     envelope = (
-                        len(chunk) * max_coeff ** float(p) * max_weight
+                        len(chunk) * max_coeff ** float(p) * max_diam**n
                     ) ** (1 / float(p))
                 if not leq_with_slack(inc, envelope):
                     raise AssertionError(
@@ -246,9 +244,9 @@ class VanishingConstruction:
                         f"{envelope} at level {d}, (n,p)=({n},{p})"
                     )
                 increments.append(inc)
-                tails.append(weighted_norm(tail, n, p, tail_diams))
+                tails.append(weighted_norm(tail, n, p))
                 envelopes.append(envelope)
-            del tail, diams, tail_diams  # not kept alive into the next level
+            del tail  # not kept alive into the next level
         rows: list[DecayRow] = []
         for (n, p), (increments, tails, envelopes) in zip(norm_params, columns):
             decreasing_from = _strictly_decreasing_from(increments)

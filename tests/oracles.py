@@ -1,9 +1,13 @@
-"""Independent test oracles: plain breadth-first search on Cayley graphs.
+"""Independent test oracles: plain breadth-first search on Cayley graphs,
+a tuple-word free group, and a term-by-term norm evaluator.
 
 The BFS multiplies by generators only and never consults the model's
 word-length or sphere code, so it is a genuinely independent check of the
 metric and of sphere enumeration.
 """
+
+import math
+from fractions import Fraction
 
 
 def bfs_distances(model, radius):
@@ -74,3 +78,32 @@ class TupleFreeWords:
 
     def sort_key(self, g):
         return (len(g), g)
+
+
+def per_term_norm(chain, n, p):
+    """The (n, p) norm evaluated term by term, one ``(numerator, diam^n)``
+    pair per support simplex with a fresh diameter each, in the three
+    regimes of ``barnorm.norms``: an exact integer power sum rooted once
+    (through its logarithm beyond float range), the largest term at p = ∞,
+    and ``math.fsum`` of the terms at fractional p."""
+    pairs = [(abs(a), chain.model.diameter(s) ** n if n else 1)
+             for s, a in chain._numer.items()]
+    denom = chain._denom
+    if p != math.inf and float(p).is_integer():
+        p = int(p)
+        total = Fraction(sum(a**p * w for a, w in pairs), denom**p)
+        try:
+            return float(total) ** (1.0 / p)
+        except OverflowError:
+            log_total = math.log(total.numerator) - math.log(total.denominator)
+            return math.exp(log_total / p)
+    inv_denom = 1.0 / denom
+    if p == math.inf:
+        value = max((a * inv_denom * w for a, w in pairs), default=0.0)
+    else:
+        p = float(p)
+        value = math.fsum((a * inv_denom) ** p * w
+                          for a, w in pairs) ** (1.0 / p)
+    if not math.isfinite(value):
+        raise OverflowError(f"lp value at p = {p} exceeds float range")
+    return value

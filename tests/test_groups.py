@@ -24,6 +24,20 @@ Z5 = Cyclic(5)
 Z7 = Cyclic(7)
 
 
+def diameter_cases():
+    """``(model, BFS distances to radius 4, ball(2), rng)`` for the free,
+    free abelian, cyclic and product kinds; points of ball(2) are at most 4
+    apart."""
+    for model in (F2, Z2, Z7, DirectProduct([F2, Z5])):
+        yield model, bfs_distances(model, 4), model.ball(2), random.Random(9)
+
+
+def bfs_diameter(model, dist, points):
+    """Max over pairs of |g⁻¹h|, each length read off the BFS table."""
+    return max(dist[model.multiply(model.inverse(g), h)]
+               for g in points for h in points)
+
+
 class TestMultiplication:
     def test_inverse_cancellation(self):
         assert F2.multiply(w(1), w(-1)) == F2.identity == b""
@@ -149,19 +163,24 @@ class TestDistanceAndDiameter:
         assert F2.diameter((w(1), w(1, 2))) == 2
         for model in (F2, Z2, Z5):
             assert model.diameter((model.identity,) * 3) == 0
+        # random simplices of degree <= 4 on ball(2), against BFS distances
+        for model, dist, ball, rng in diameter_cases():
+            for _ in range(200):
+                degree = rng.randrange(5)
+                verts = tuple(rng.choice(ball) for _ in range(degree))
+                assert model.diameter(verts) == \
+                    bfs_diameter(model, dist, (model.identity, *verts))
 
     def test_diameter_translation_invariant(self):
-        rng = random.Random(9)
-        ball = F2.ball(3)
-        for _ in range(200):
-            verts = tuple(ball[rng.randrange(len(ball))] for _ in range(2))
-            x = ball[rng.randrange(len(ball))]
-            # translate all of {e, g1, g2} by x, re-base at e
-            xi = F2.inverse(F2.multiply(x, F2.identity))
-            rebased = tuple(
-                F2.multiply(xi, F2.multiply(x, v)) for v in verts
-            )
-            assert F2.diameter(rebased) == F2.diameter(verts)
+        # {x, x·g1, …, x·gk} has the diameter of {e, g1, …, gk}
+        for model, dist, ball, rng in diameter_cases():
+            for _ in range(200):
+                degree = rng.randrange(5)
+                verts = tuple(rng.choice(ball) for _ in range(degree))
+                x = rng.choice(ball)
+                translated = (x, *(model.multiply(x, v) for v in verts))
+                assert model.diameter(verts) == \
+                    bfs_diameter(model, dist, translated)
 
 
 class TestSpheresAndBalls:
@@ -284,6 +303,10 @@ class TestGrowthConstant:
         assert isinstance(growth_constant(Z, 3, 10), Fraction)
         with pytest.raises(ValueError, match="r_max"):
             growth_constant(Z, 1, 0)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="growth degree"):
+            growth_constant(Z2, -1, 10)
 
     def test_bound_holds_on_range(self):
         for model, degree in ((Z, 1), (Z2, 2), (FreeAbelian(3), 3)):

@@ -287,6 +287,23 @@ class TestCli:
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("norms", "--n", "-1"),
+        ("growth", "--growth-degree", "-1"),
+        ("norms", "--trials", "-2"),
+        ("compare-pq", "--k", "-1"),
+        ("diffuse", "--radius", "-1"),
+        ("pushforward", "--support", "-1"),
+    ])
+    def test_negative_value_names_option(self, tmp_path, capsys, command,
+                                         option, value):
+        with pytest.raises(SystemExit) as exit_info:
+            self.run(command, option, value, "--outdir", str(tmp_path / "out"))
+        assert exit_info.value.code == 2
+        assert f"argument {option}: invalid value '{value}' (must be >= 0)" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("option", ["--p", "--q"])
     def test_exponent_below_one_names_option(self, tmp_path, capsys, option):
         with pytest.raises(SystemExit) as exit_info:

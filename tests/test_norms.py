@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from barnorm.chains import (
     identity_homomorphism,
     with_kernel_control,
 )
+from barnorm.diffusion import AnnuliConfig, DiffusionOperator
 from barnorm.groups import Cyclic, FreeAbelian, FreeGroup, growth_constant
 from barnorm.norms import (
     INF,
@@ -31,6 +34,7 @@ from barnorm.norms import (
     weighted_power_sum,
 )
 from barnorm.harness import RandomChainSpec, random_chain
+from oracles import per_term_norm
 
 F2 = FreeGroup(2)
 Z = FreeAbelian(1)
@@ -96,12 +100,65 @@ class TestWeightedNorm:
 
     def test_monotone_in_weight_degree(self):
         for c in chains_for(F2, 2, 20, seed=3, radius=2, support=6):
-            diams = diameter_map(c)
-            assert all(d >= 1 for d in diams.values())
+            assert all(d >= 1 for d in diameter_map(c).values())
             for p in (1, 2, INF):
                 for n in (0, 1, 2):
-                    assert weighted_norm(c, n, p, diams) <= \
-                        weighted_norm(c, n + 1, p, diams) * (1 + 1e-12)
+                    assert weighted_norm(c, n, p) <= \
+                        weighted_norm(c, n + 1, p) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, INF])
+    def test_negative_weight_degree_rejected(self, p):
+        c = Chain.single(F2, (word(1, 2),), 3)
+        with pytest.raises(ValueError, match="weight degree"):
+            weighted_norm(c, -1, p)
+
+    def test_negative_weight_degree_rejected_in_power_sum(self):
+        c = Chain.single(F2, (word(1, 2),), 3)
+        with pytest.raises(ValueError, match="weight degree"):
+            weighted_power_sum(c, -1, 2)
+
+    def test_second_norm_computes_no_diameter(self, monkeypatch):
+        model = FreeGroup(2)
+        calls = []
+        diameter = model.diameter
+        monkeypatch.setattr(model, "diameter",
+                            lambda s: calls.append(s) or diameter(s))
+        grid = [(n, p) for n in range(4) for p in (1, 1.5, 2, INF)]
+        for n, p in grid:
+            c, = chains_for(model, 2, 1, seed=n, radius=2, support=8)
+            calls.clear()
+            weighted_norm(c, n, p)
+            assert len(calls) == len(c)
+            calls.clear()
+            for n2, p2 in grid:
+                weighted_norm(c, n2, p2)
+            weighted_power_sum(c, 3, 2)
+            assert calls == []
+
+    def test_concurrent_first_norms_agree(self):
+        # workers race to fill each chain's profile; every value must equal
+        # the per-term reference, whichever worker stored the profile
+        chains = chains_for(F2, 2, 30, seed=11, radius=2, support=8)
+        grid = [(n, p) for n in range(3) for p in (1.5, 2, INF)]
+        expected = [[per_term_norm(c, n, p) for n, p in grid] for c in chains]
+        results = {}
+
+        def work(k):
+            results[k] = [[weighted_norm(c, n, p) for n, p in grid]
+                          for c in chains]
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [results[k] for k in range(4)] == [expected] * 4
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_integer_exponent_roots_sums_beyond_float_range(self, p):
@@ -355,11 +412,15 @@ def _reference_norm(chain, n, p) -> float:
     return float(sum(a**p * w for a, w in terms)) ** (1 / p)
 
 
+CONES = {model: DiffusionOperator(model, AnnuliConfig(degree=2))
+         for model in (F2, Z2)}
+
+
 @st.composite
-def small_chains(draw):
+def small_chains(draw, radius=2):
     model = draw(st.sampled_from([F2, Z2]))
     degree = draw(st.integers(0, 2))
-    elements = model.ball(2)
+    elements = model.ball(radius)
     simplex = st.tuples(*[st.sampled_from(elements)] * degree)
     coeff = st.fractions(-6, 6, max_denominator=5).filter(bool)
     return Chain.from_terms(model, degree,
@@ -372,8 +433,18 @@ class TestNormProperties:
            st.sampled_from([1, 2, 3, INF]))
     def test_weighted_norm_matches_exact_reference(self, chain, n, p):
         value = weighted_norm(chain, n, p)
-        assert weighted_norm(chain, n, p, diameter_map(chain)) == value
         assert math.isclose(value, _reference_norm(chain, n, p), rel_tol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_chains(), small_chains(radius=1),
+           st.sampled_from([1, 1.5, 2, 2.5, 3, Fraction(7, 3), INF]))
+    def test_weighted_norm_equals_per_term_reference(self, chain, near, p):
+        # cones repeat (|a|, diam) pairs, so profile counts exceed 1; their
+        # size grows with the base's diameter, so cone a ball(1) chain
+        coned = CONES[near.model].cone(near)
+        for c in (chain, near, coned):
+            for n in range(4):
+                assert weighted_norm(c, n, p) == per_term_norm(c, n, p)
 
     @settings(max_examples=200, deadline=None)
     @given(small_chains(), st.sampled_from([1, 2, 3, INF]))
