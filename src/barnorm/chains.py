@@ -7,10 +7,12 @@ legal basis elements and are carried as-is — dropping them would silently
 change the boundary operator.
 
 Chains are finitely supported formal sums with exact rational coefficients.
-Internally a chain keeps integer numerators over a single positive common
-denominator, which keeps the hot accumulation loops in machine-int land;
-every coefficient visible through the API is an exact ``Fraction``.  Chains
-are values (nothing writes their numerators after construction); the norms'
+Internally a chain keeps nonzero integer numerators over a single positive
+common denominator, which keeps the hot accumulation loops in machine-int
+land; every coefficient visible through the API is an exact ``Fraction``.
+Every chain sum (``+``/``-``, boundary, push-forward, the diffusion chain
+map) deletes a simplex the moment its numerator cancels to zero.  Chains are
+values (nothing writes their numerators after construction); the norms'
 ``_profile`` memo on a chain and a homomorphism's ``_cache`` are idempotent
 fills that a race only recomputes, so both are safe to share across workers.
 
@@ -47,8 +49,8 @@ class Chain:
     def __init__(self, model: GroupModel, degree: int, _denom: int = 1,
                  _numer: Optional[dict] = None):
         """``_denom`` and ``_numer`` are the internal form: trusted canonical
-        simplices with int numerators over one denominator.  The chain takes
-        ownership of ``_numer``; zero entries are deleted in place."""
+        simplices with nonzero int numerators over one denominator.  The
+        chain takes ownership of ``_numer``."""
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
         self.model = model
@@ -56,11 +58,10 @@ class Chain:
         numer = _numer if _numer is not None else {}
         if _denom <= 0:
             raise ValueError("internal denominator must be positive")
-        # Canonical form: no zero numerators, content coprime to denominator.
-        if 0 in numer.values():
-            zeros = [s for s, n in numer.items() if not n]
-            for s in zeros:
-                del numer[s]
+        # Canonical form: content coprime to the denominator.  Equal chains
+        # then have equal internal forms, and the norms' ``a·(1/D)`` floats
+        # stay those of the reduced fraction: 25·(1/15) is
+        # 1.6666666666666667, but 5·(1/3) is 1.6666666666666665.
         if numer:
             content = _denom
             for n in numer.values():
@@ -177,20 +178,16 @@ class Chain:
         denom = lcm(self._denom, other._denom)
         fa = denom // self._denom
         fb = flip * (denom // other._denom)
-        if len(self._numer) * 8 < len(other._numer):
-            # base the merge on the big side: a C-level copy (or one
-            # scaling comprehension) beats inserting it entry by entry
-            if fb == 1:
-                numer = dict(other._numer)
-            else:
-                numer = {s: n * fb for s, n in other._numer.items()}
-            small, factor = self._numer, fa
+        # copy the larger side (a C-level copy when its factor is 1) and
+        # fold the smaller one into it
+        if len(self._numer) < len(other._numer):
+            big, big_factor, small, factor = other._numer, fb, self._numer, fa
         else:
-            if fa == 1:
-                numer = dict(self._numer)
-            else:
-                numer = {s: n * fa for s, n in self._numer.items()}
-            small, factor = other._numer, fb
+            big, big_factor, small, factor = self._numer, fa, other._numer, fb
+        if big_factor == 1:
+            numer = dict(big)
+        else:
+            numer = {s: n * big_factor for s, n in big.items()}
         # one lookup and one store or delete per entry; a sum can only be
         # zero for a key already present, and cancelled keys leave at once
         get = numer.get
@@ -226,17 +223,24 @@ class Chain:
 
 
 def _accumulate(out: dict, pairs) -> None:
-    """Add every ``(key, value)`` of ``pairs`` into ``out``, keeping zeros.
+    """Add every ``(key, value)`` of ``pairs`` (values nonzero) into ``out``;
+    a key whose sum is zero is deleted at once.
 
     ``setdefault`` stores a new key in one probe of the table; only a key
-    already present (the dict did not grow) takes a second probe.
+    already present (the dict did not grow) takes a second probe, and only
+    such a sum can be zero.
     """
     setdefault = out.setdefault
     size = len(out)
     for key, value in pairs:
         old = setdefault(key, value)
         if len(out) == size:
-            out[key] = old + value
+            value += old
+            if value:
+                out[key] = value
+            else:
+                del out[key]
+                size -= 1
         else:
             size += 1
 
@@ -387,9 +391,8 @@ def push_forward(hom: GroupHomomorphism, chain: Chain) -> Chain:
         raise ValueError("chain does not live over the homomorphism source")
     apply = hom.apply
     out: dict[tuple, int] = {}
-    for simplex, num in chain._numer.items():
-        image = tuple(apply(v) for v in simplex)
-        out[image] = out.get(image, 0) + num
+    _accumulate(out, ((tuple(map(apply, simplex)), num)
+                      for simplex, num in chain._numer.items()))
     return Chain(hom.target, chain.degree, chain._denom, out)
 
 

@@ -23,10 +23,11 @@ when one failed or an internal invariant broke (then nothing is written), and
 
 A JSON config file may supply any long-option value (keys use underscores,
 e.g. ``growth_degree``; the ``--N`` option's key is ``annuli_degree``);
-explicit command-line flags win.  A config file that is missing or
-unreadable, is not valid JSON, or does not hold a JSON object, and a key
-that names no option of any command, are rejected with exit status 2 before
-anything runs.  The environment variable ``BARNORM_ENUM_CAP`` overrides the
+explicit command-line flags win.  Each value is checked like the same flag,
+as the text of its JSON number or string (a list is rejected); null keeps
+the option's default.  A config file that is missing or unreadable, is not
+valid JSON, or does not hold a JSON object, and a key that names no option
+of any command, are rejected with exit status 2 before anything runs.  The environment variable ``BARNORM_ENUM_CAP`` overrides the
 default enumeration cap; a value that is not an integer is rejected the same
 way.  The cap (``--cap``, or that default) bounds the ball of every chain
 draw (norms, compare-pq, pushforward, diffuse, all), the annuli of diffuse
@@ -282,9 +283,9 @@ def main(argv=None) -> int:
             print(f"error: config keys name no option: {', '.join(unknown)}",
                   file=sys.stderr)
             return 2
-        for key, value in config.items():
-            if key in ("outdir", "chain", "emit_chain", "config"):
-                config[key] = Path(value)
+        # argparse runs an option's type on string defaults only
+        config = {key: str(value) for key, value in config.items()
+                  if value is not None}
         parser.set_defaults(**config)
         for suite_parser in parser.suite_parsers.values():
             suite_parser.set_defaults(**config)

@@ -224,37 +224,28 @@ class DiffusionOperator:
         diam = model.diameter
         ldiv = model._left_divide
 
-        # First pass: per source, its faces with merged boundary signs.
-        # A face of the same diameter as its source contributes the same
-        # keys to −∂∘cone (the omitted-vertex terms) and to −cone∘∂ (its
-        # own cone) with opposite signs, so the pair is dropped outright;
-        # only the re-based face and faces of differing diameter survive.
+        # First pass: per source, its faces and their boundary signs.  A
+        # face of the same diameter as its source contributes the same keys
+        # to −∂∘cone (the omitted-vertex terms) and to −cone∘∂ (its own
+        # cone) with opposite signs, so the pair is dropped outright.  Two
+        # omitted-vertex faces coincide only when the vertices between them
+        # are equal, so such a face has its source's diameter and is dropped.
         sources = []  # (simplex, num, radius, kept_faces, cone_jobs)
         radii_needed = set()
         for s, num in chain._numer.items():
             r_s = diam(s)
             radii_needed.add(r_s)
-            merged: dict[tuple, list] = {}
+            kept_faces = []  # (sign, omit_index)
+            cone_jobs = []   # (face, numerator multiple, face radius)
             sign = -1
             for j in range(degree):
                 face = s[:j] + s[j + 1 :]
-                entry = merged.get(face)
-                if entry is None:
-                    merged[face] = [sign, j]
-                else:
-                    entry[0] += sign
-                sign = -sign
-            kept_faces = []  # (face, sigma, omit_index) with sigma != 0
-            cone_jobs = []   # (face, numerator multiple, face radius)
-            for face, (sigma, j) in merged.items():
-                if not sigma:
-                    continue
                 r_f = diam(face)
-                if r_f == r_s:
-                    continue
-                radii_needed.add(r_f)
-                kept_faces.append((face, sigma, j))
-                cone_jobs.append((face, -sigma * num, r_f))
+                if r_f != r_s:
+                    radii_needed.add(r_f)
+                    kept_faces.append((sign, j))
+                    cone_jobs.append((face, -sign * num, r_f))
+                sign = -sign
             rebased = tuple(ldiv(s[0], v) for v in s[1:])
             r_0 = diam(rebased)
             radii_needed.add(r_0)
@@ -273,9 +264,9 @@ class DiffusionOperator:
             value = num * scale
             translated = [list(map(mul, zinv, repeat(v))) for v in s]
             accumulate(zip(*translated), value)
-            for _, sigma, j in kept_faces:
+            for sign, j in kept_faces:
                 kept = translated[:j] + translated[j + 1 :]
-                accumulate(zip(zinv, *kept), sigma * value)
+                accumulate(zip(zinv, *kept), sign * value)
             for face, multiple, r_f in cone_jobs:
                 zinv_f, scale_f = scaled[r_f]
                 fts = [map(mul, zinv_f, repeat(v)) for v in face]

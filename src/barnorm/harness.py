@@ -189,13 +189,14 @@ def run_contractivity(model_desc: str, k: int, n: int, p, q,
 COMPARE_SCHEMA = (
     "trial", "k", "n", "p", "q", "m", "constant", "lhs", "rhs", "ratio", "ok",
 )
+_CONSTANT_R_MAX = 10  # radii over which compare-pq takes its growth constant
 
 
 def run_compare(model_desc: str, growth_degree: int, k: int, n: int, p, q,
                 trials: int, seed: int, radius: int = 8, support: int = 10,
-                constant_r_max: int = 10, cap: int = DEFAULT_ENUM_CAP) -> dict:
+                cap: int = DEFAULT_ENUM_CAP) -> dict:
     model = parse_model(model_desc)
-    constant = growth_constant(model, growth_degree, constant_r_max)
+    constant = growth_constant(model, growth_degree, _CONSTANT_R_MAX)
 
     def check(chain):
         report = verify_comparison(chain, n, p, q, growth_degree, constant)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from barnorm.chains import (
     Chain,
@@ -17,7 +18,8 @@ from barnorm.chains import (
     with_kernel_control,
 )
 from barnorm.errors import EnumerationTooLarge
-from barnorm.groups import Cyclic, FreeAbelian, FreeGroup
+from barnorm.groups import Cyclic, FreeAbelian, FreeGroup, parse_model
+from barnorm.norms import INF, weighted_norm
 
 F2 = FreeGroup(2)
 w = F2.word
@@ -25,6 +27,8 @@ Z = FreeAbelian(1)
 Z2 = FreeAbelian(2)
 Z3 = Cyclic(3)
 Z5 = Cyclic(5)
+Z7 = Cyclic(7)
+F2xZ5 = parse_model("product:[free:2,cyclic:5]")
 
 
 def random_simplex(model, ball, degree, rng):
@@ -39,6 +43,40 @@ def random_chain(model, degree, support, radius, rng):
         for _ in range(support)
     ]
     return Chain.from_terms(model, degree, terms)
+
+
+MERGE_KEYS = [(g, h) for g in F2.ball(2) for h in F2.ball(2)]
+COEFFICIENTS = st.sampled_from([Fraction(a, b) for a in range(-5, 6) if a
+                                for b in range(1, 7)])
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two coefficient dicts, one 1 to 20 times the size of the other (either
+    side first), sharing simplices whose coefficients cancel exactly under
+    ``+`` or under ``-``."""
+    n_small = draw(st.integers(1, 4))
+    n_big = n_small * draw(st.integers(1, 20))
+    small = draw(st.dictionaries(st.sampled_from(MERGE_KEYS), COEFFICIENTS,
+                                 min_size=n_small, max_size=n_small))
+    big = draw(st.dictionaries(st.sampled_from(MERGE_KEYS), COEFFICIENTS,
+                               min_size=n_big, max_size=n_big))
+    for key, coeff in small.items():
+        shared = draw(st.sampled_from((None, -coeff, coeff)))
+        if shared is not None:
+            big[key] = shared
+    return (small, big) if draw(st.booleans()) else (big, small)
+
+
+def reference_sum(x: dict, y: dict, sign: int) -> dict:
+    out = dict(x)
+    for key, coeff in y.items():
+        out[key] = out.get(key, 0) + sign * coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def has_no_zero(chain: Chain) -> bool:
+    return all(coeff for _, coeff in chain.terms())
 
 
 class TestChainArithmetic:
@@ -83,6 +121,34 @@ class TestChainArithmetic:
         c = Chain.single(F2, (e, w(1), w(1)))
         assert len(c) == 1 and c.coefficient((e, w(1), w(1))) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(operand_pairs())
+    def test_merge_matches_fraction_reference(self, operands):
+        x, y = operands
+        a = Chain.from_terms(F2, 2, x.items())
+        b = Chain.from_terms(F2, 2, y.items())
+        for sign, result in ((1, a + b), (-1, a - b)):
+            assert dict(result.terms()) == reference_sum(x, y, sign)
+            assert has_no_zero(result)
+        assert (a - a).is_zero()
+        restored = a + b - b
+        assert restored == a and has_no_zero(restored)
+
+    def test_cancelled_content_leaves_the_denominator(self):
+        # 5/3·[a] + 1/15·[b] − 1/15·[b] must be stored as 5 over 3, not 25
+        # over 15: the norms compute a·(1/D) in floats, and 25·(1/15) is not
+        # 5·(1/3) in the last bit
+        a, b = w(1, 2), w(2)
+        x = Chain.from_terms(F2, 1, [((a,), Fraction(5, 3)),
+                                     ((b,), Fraction(1, 15))])
+        cancelled = x - Chain.single(F2, (b,), Fraction(1, 15))
+        assert cancelled._denom == 3
+        reduced = Chain.single(F2, (a,), Fraction(5, 3))
+        for n in (0, 1):
+            for p in (INF, 1.5):
+                assert weighted_norm(cancelled, n, p) == \
+                    weighted_norm(reduced, n, p)
+
 
 class TestBoundary:
     def test_two_simplex_expansion(self):
@@ -101,13 +167,16 @@ class TestBoundary:
         with pytest.raises(ValueError):
             boundary(Chain.single(F2, ()))
 
-    @pytest.mark.parametrize("model,radius", [(F2, 3), (Z2, 3)])
+    @pytest.mark.parametrize("model,radius",
+                             [(F2, 3), (Z2, 3), (Z7, 3), (F2xZ5, 2)])
     @pytest.mark.parametrize("degree", [2, 3, 4])
     def test_boundary_squares_to_zero(self, model, radius, degree):
         rng = random.Random(degree)
         for _ in range(60):
             c = random_chain(model, degree, 8, radius, rng)
-            assert boundary(boundary(c)).is_zero()
+            bd = boundary(c)
+            assert has_no_zero(bd)
+            assert boundary(bd).is_zero()
 
     def test_linearity(self):
         rng = random.Random(17)

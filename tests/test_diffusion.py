@@ -6,7 +6,7 @@ import pytest
 from barnorm.chains import Chain, boundary
 from barnorm.diffusion import AnnuliConfig, DiffusionOperator
 from barnorm.errors import EmptyAnnulus, EnumerationTooLarge
-from barnorm.groups import Cyclic, FreeAbelian, FreeGroup
+from barnorm.groups import Cyclic, FreeAbelian, FreeGroup, parse_model
 from barnorm.harness import RandomChainSpec, random_chain
 from barnorm.norms import weighted_norm
 
@@ -171,6 +171,25 @@ class TestChainMap:
                 if d_c:
                     composed = composed - op.cone(d_c)
                 assert op.chain_map(c) == composed
+
+    @pytest.mark.parametrize("model", [
+        F2, Z2, parse_model("product:[free:2,cyclic:5]")])
+    def test_degenerate_simplices_match_operator_composition(self, model):
+        # faces of a repeated vertex coincide; each must still be dropped or
+        # kept exactly as the composition does, leaving no zero numerator
+        op = operator(model=model)
+        ball = model.ball(1)
+        shapes = [(g, g) for g in ball] + [(g, g, g) for g in ball]
+        for g in ball:
+            for h in ball:
+                if g != h:
+                    shapes += [(g, g, h), (h, g, g), (g, h, h)]
+        for s in shapes:
+            c = Chain.single(model, s, Fraction(2, 3))
+            composed = c - boundary(op.cone(c)) - op.cone(boundary(c))
+            mapped = op.chain_map(c)
+            assert mapped == composed
+            assert all(coeff for _, coeff in mapped.terms())
 
     def test_degree_zero_fixed(self):
         op = operator()

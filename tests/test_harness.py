@@ -338,6 +338,22 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "explicit" / "growth.csv").exists()
 
+    @pytest.mark.parametrize("command, key, value, option", [
+        ("norms", "trials", -2, "--trials"),
+        ("growth", "growth_degree", -1, "--growth-degree"),
+    ])
+    def test_config_values_checked_like_flags(self, tmp_path, capsys, command,
+                                              key, value, option):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit) as exit_info:
+            self.run("--config", str(config), command,
+                     "--outdir", str(tmp_path / "out"))
+        assert exit_info.value.code == 2
+        assert f"argument {option}: invalid value '{value}' (must be >= 0)" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_f2_builds_each_edge_sum_once(self, tmp_path, monkeypatch):
         edge_sums = count_calls(monkeypatch, VanishingConstruction, "edge_sum")
         code = self.run("f2-vanish", "--levels", "4", "--norms", "0:3,0:2",
