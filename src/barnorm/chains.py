@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional
 
@@ -149,9 +150,6 @@ class Chain:
             and self._denom == other._denom
             and self._numer == other._numer
         )
-
-    def __hash__(self):
-        raise TypeError("chains are not hashable")
 
     def __repr__(self):
         if not self._numer:
@@ -329,31 +327,34 @@ class GroupHomomorphism:
             img = self.images[indices[0]]
             if self.target.power(img, model.modulus) != self.target.identity:
                 raise ValueError(
-                    f"image {img!r} violates the order-{model.modulus} relation"
-                )
+                    f"image {self.target.element_to_str(img)!r} violates the "
+                    f"order-{model.modulus} relation")
             return
         if kind == "abelian":
-            self._check_commuting(indices)
+            self._check_commuting([[i] for i in indices])
             return
         if kind == "product":
-            offset = 0
+            blocks, offset = [], 0
             for factor in model.factors:
                 width = len(factor.positive_generators)
-                self._check_relations(factor, indices[offset : offset + width])
+                blocks.append(indices[offset : offset + width])
+                self._check_relations(factor, blocks[-1])
                 offset += width
-            self._check_commuting(indices)
+            self._check_commuting(blocks)
             return
         raise ValueError(f"unsupported source kind {kind!r}")
 
-    def _check_commuting(self, indices: list[int]) -> None:
-        mul = self.target.multiply
-        for i, a in enumerate(indices):
-            for b in indices[i + 1 :]:
+    def _check_commuting(self, blocks: list[list[int]]) -> None:
+        """Images of generators in different blocks must commute."""
+        mul, to_str = self.target.multiply, self.target.element_to_str
+        for i, block in enumerate(blocks):
+            later = [b for other in blocks[i + 1 :] for b in other]
+            for a, b in product(block, later):
                 x, y = self.images[a], self.images[b]
                 if mul(x, y) != mul(y, x):
                     raise ValueError(
-                        f"images {x!r} and {y!r} do not commute; "
-                        "homomorphism is not well defined"
+                        f"images {to_str(x)!r} and {to_str(y)!r} do not "
+                        "commute; homomorphism is not well defined"
                     )
 
     def apply(self, g):

@@ -32,9 +32,9 @@ default enumeration cap; a value that is not an integer is rejected the same
 way.  The cap (``--cap``, or that default) bounds the ball of every chain
 draw (norms, compare-pq, pushforward, diffuse, all), the annuli of diffuse
 and the kernel-control balls of pushforward and all; a command that would
-exceed it exits with status 2 and writes nothing.  Exponent options below 1
-and negative counts, degrees, radii or levels are usage errors naming the
-option.
+exceed it exits with status 2 and writes nothing.  Exponent options below 1,
+negative counts, degrees, radii or levels, ``--r-max`` below 1 and ``--N``
+below 2 are usage errors naming the option.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import sys
 import time
 from dataclasses import astuple
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import harness
@@ -100,14 +101,18 @@ def _exponent(text: str) -> float:
     return value
 
 
-def _non_negative_int(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"invalid value {text!r} (must be >= 0)")
+    if value < low:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r} (must be >= {low})")
     return value
+
+
+_non_negative_int = partial(_int_at_least, 0)
 
 
 def _norm_pairs(text: str) -> list:
@@ -149,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model", default="abelian:2")
     p.add_argument("--growth-degree", type=_non_negative_int, default=2)
-    p.add_argument("--r-max", type=int, default=10)
+    p.add_argument("--r-max", type=partial(_int_at_least, 1), default=10)
 
     p = sub.add_parser("norms", help="contractivity checks on random chains")
     common(p)
@@ -188,17 +193,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diffuse", help="diffusion cone homotopy and bound checks")
     common(p)
     p.add_argument("--model", default="free:2")
-    p.add_argument("--N", type=int, default=2, dest="annuli_degree",
+    p.add_argument("--N", type=partial(_int_at_least, 2), default=2,
+                   dest="annuli_degree",
                    help="annuli degree (values <= 10 are flagged non-conforming)")
-    p.add_argument("--degree", type=int, default=1)
+    p.add_argument("--degree", type=_non_negative_int, default=1)
     p.add_argument("--n", type=_non_negative_int, default=1)
     p.add_argument("--p", type=_exponent, default=2.0)
     p.add_argument("--q", type=_exponent, default=4.0)
-    p.add_argument("--ratio-m", type=int, default=None)
+    p.add_argument("--ratio-m", type=_non_negative_int, default=None)
     p.add_argument("--trials", type=_non_negative_int, default=20)
     p.add_argument("--radius", type=_non_negative_int, default=2)
     p.add_argument("--support", type=_non_negative_int, default=3)
-    p.add_argument("--max-diameter", type=int, default=None)
+    p.add_argument("--max-diameter", type=_non_negative_int, default=None)
     p.add_argument("--chain", type=Path, default=None,
                    help="verify one chain from a JSON record file instead")
     p.add_argument("--emit-chain", type=Path, default=None,

@@ -7,11 +7,15 @@ coefficient averaged over the annulus:
 
     [e, g1, …, gk]  ↦  1/|Z| · Σ_{z in Z} [z, e, g1, …, gk],
 
-where each cone ``[z, e, g1, …, gk]`` is re-based at the identity and stored
-as ``(z⁻¹, z⁻¹g1, …, z⁻¹gk)``.  Subtracting the boundary round trips gives
-the chain map ``id − ∂∘cone − cone∘∂``, chain homotopic to the identity by
-construction; the homotopy identity holds in exact rational arithmetic and
-exercising it validates boundary, cone, re-basing and signs all at once.
+where each cone ``[z, e, g1, …, gk]`` is re-based at the identity as
+``(z⁻¹, z⁻¹g1, …, z⁻¹gk)``.  Every kind's generating set is symmetric, so
+word lengths are inversion-invariant and each annulus satisfies ``Z = Z⁻¹``:
+the sum over ``z`` of the re-based cones is the sum over ``y`` in ``Z`` of
+``(y, y·g1, …, y·gk)``, and the annulus itself is the set of re-based cone
+points.  Subtracting the boundary round trips gives the chain map
+``id − ∂∘cone − cone∘∂``, chain homotopic to the identity by construction;
+the homotopy identity holds in exact rational arithmetic and exercising it
+validates boundary, cone, re-basing and signs all at once.
 
 Annulus thresholds: the upper bound ``r**N`` is an exact integer and the
 width ``r**(N/10)`` is a real number.  Membership of an integer length ``L``
@@ -69,7 +73,6 @@ class DiffusionOperator:
         self.model = model
         self.config = config
         self._annuli: dict[int, tuple] = {}
-        self._annuli_inv: dict[int, tuple] = {}
         self._lock = threading.Lock()
 
     # -- annuli ------------------------------------------------------------
@@ -122,13 +125,9 @@ class DiffusionOperator:
                         f"of {self.model.describe()}",
                         bound, cap,
                     )
-                out = []
-                for length in self.annulus_lengths(r):
-                    out.extend(self.model.iter_sphere(length))
-                elements = tuple(out)
+                elements = tuple(g for length in self.annulus_lengths(r)
+                                 for g in self.model.iter_sphere(length))
             self._annuli[r] = elements
-            inv = self.model.inverse
-            self._annuli_inv[r] = tuple(inv(z) for z in elements)
             return elements
 
     def check_annuli_disjoint(self, radii) -> None:
@@ -148,22 +147,21 @@ class DiffusionOperator:
         """Put the annulus averages over ``radii`` on one denominator.
 
         Checks that the annuli are disjoint and nonempty, and returns the
-        lcm of their sizes with, per radius, the inverted annulus and the
-        scale lcm // |Z_r| of its cone coefficients.
+        lcm of their sizes with, per radius, the annulus (its own inverse, so
+        the re-based cone points) and the scale lcm // |Z_r| of its cone
+        coefficients.
         """
         self.check_annuli_disjoint(radii)
-        sizes = {}
-        for r in radii:
-            size = len(self.annulus(r))
-            if size == 0:
+        annuli = {r: self.annulus(r) for r in radii}
+        for r, points in annuli.items():
+            if not points:
                 raise EmptyAnnulus(
                     f"annulus(r={r}, N={self.config.degree}) of "
                     f"{self.model.describe()} is empty"
                 )
-            sizes[r] = size
-        common = lcm(*sizes.values())
-        return common, {r: (self._annuli_inv[r], common // size)
-                        for r, size in sizes.items()}
+        common = lcm(*map(len, annuli.values()))
+        return common, {r: (points, common // len(points))
+                        for r, points in annuli.items()}
 
     # -- operators -----------------------------------------------------------
 
@@ -186,11 +184,11 @@ class DiffusionOperator:
         out: dict[tuple, int] = {}
         mul = model.multiply
         expected = 0
-        for r, (zinv, scale) in scaled.items():
-            expected += len(zinv) * len(by_radius[r])
+        for r, (points, scale) in scaled.items():
+            expected += len(points) * len(by_radius[r])
             for s, num in by_radius[r]:
-                translated = [map(mul, zinv, repeat(v)) for v in s]
-                out.update(zip(zip(zinv, *translated), repeat(num * scale)))
+                translated = [map(mul, points, repeat(v)) for v in s]
+                out.update(zip(zip(points, *translated), repeat(num * scale)))
         if len(out) != expected:
             raise AssertionError(
                 "cone outputs collided; the accumulation control is broken"
@@ -260,17 +258,17 @@ class DiffusionOperator:
             _accumulate(out, zip(keys, repeat(value)))
 
         for s, num, r_s, kept_faces, cone_jobs in sources:
-            zinv, scale = scaled[r_s]
+            points, scale = scaled[r_s]
             value = num * scale
-            translated = [list(map(mul, zinv, repeat(v))) for v in s]
+            translated = [list(map(mul, points, repeat(v))) for v in s]
             accumulate(zip(*translated), value)
             for sign, j in kept_faces:
                 kept = translated[:j] + translated[j + 1 :]
-                accumulate(zip(zinv, *kept), sign * value)
+                accumulate(zip(points, *kept), sign * value)
             for face, multiple, r_f in cone_jobs:
-                zinv_f, scale_f = scaled[r_f]
-                fts = [map(mul, zinv_f, repeat(v)) for v in face]
-                accumulate(zip(zinv_f, *fts), multiple * scale_f)
+                points_f, scale_f = scaled[r_f]
+                fts = [map(mul, points_f, repeat(v)) for v in face]
+                accumulate(zip(points_f, *fts), multiple * scale_f)
         return Chain(model, degree, chain._denom * common, out)
 
     # -- diagnostics -----------------------------------------------------------
@@ -289,7 +287,6 @@ class DiffusionOperator:
             raise ValueError("chain does not live over the operator's model")
         model = self.model
         mul = model.multiply
-        inv = model.inverse
         diam = model.diameter
         n_deg = self.config.degree
         violations: list[str] = []
@@ -302,9 +299,8 @@ class DiffusionOperator:
                 continue
             r = diam(s)
             phi_r = 2 * r**n_deg
-            for z in self.annulus(r):
-                zi = inv(z)
-                coned = (zi,) + tuple(mul(zi, v) for v in s)
+            for y in self.annulus(r):  # y = z⁻¹ runs over Z as z does
+                coned = (y,) + tuple(mul(y, v) for v in s)
                 diam_checked += 1
                 if diam(coned) > phi_r:
                     violations.append(
@@ -316,11 +312,11 @@ class DiffusionOperator:
                     faces_checked += 1
                     seen = buckets.get(face)
                     if seen is None:
-                        buckets[face] = (z, r)
-                    elif seen != (z, r):
+                        buckets[face] = (y, r)
+                    elif seen != (y, r):
                         violations.append(
-                            f"face {face!r} reached from cone points "
-                            f"{seen} and {(z, r)}"
+                            f"face {face!r} reached from re-based cone points "
+                            f"{seen} and {(y, r)}"
                         )
         return AccumulationReport(
             faces_checked=faces_checked,
@@ -351,10 +347,7 @@ class DiffusionOperator:
         fused = self.chain_map(chain)
         coned = self.cone(chain)
         d_coned = boundary(coned)
-        if chain.degree >= 1:
-            d_chain = boundary(chain)
-        else:
-            d_chain = Chain.zero(model, 0)
+        d_chain = boundary(chain) if chain.degree else Chain.zero(model, 0)
         mapped = chain - d_coned
         if d_chain:
             mapped = mapped - self.cone(d_chain)

@@ -30,7 +30,8 @@ Model descriptors (used by the CLI and serialization) follow the grammar
 ``free:K``, ``abelian:N``, ``cyclic:M``, ``product:[DESC,DESC,…]``.  Free
 group elements serialize as words over ``a, b, c, …`` with capital letters
 for inverses (identity: the empty string); abelian and cyclic elements as
-comma-separated integers; product elements join their components with ``;``.
+comma-separated integers; product elements join their components with ``;``,
+each product-valued component in brackets (``a;[b;1];0,2``).
 """
 
 from __future__ import annotations
@@ -480,8 +481,7 @@ class Cyclic(GroupModel):
         return str(g)
 
     def element_from_str(self, text: str):
-        value = int(text.strip()) % self.modulus
-        return value
+        return int(text.strip()) % self.modulus
 
 
 class DirectProduct(GroupModel):
@@ -582,13 +582,34 @@ class DirectProduct(GroupModel):
         return f"product:[{inner}]"
 
     def element_to_str(self, g) -> str:
-        return ";".join(f.element_to_str(a) for f, a in zip(self.factors, g))
+        return ";".join(
+            f"[{f.element_to_str(a)}]" if f.kind == "product"
+            else f.element_to_str(a) for f, a in zip(self.factors, g))
 
     def element_from_str(self, text: str):
-        parts = text.split(";")
+        parts = _split_top_level(text, ";")
         if len(parts) != len(self.factors):
             raise ValueError(f"expected {len(self.factors)} components in {text!r}")
-        return tuple(f.element_from_str(p) for f, p in zip(self.factors, parts))
+        out = []
+        for f, part in zip(self.factors, parts):
+            if f.kind == "product":
+                if not (part.startswith("[") and part.endswith("]")):
+                    raise ValueError(f"product component {part!r} needs brackets")
+                part = part[1:-1]
+            out.append(f.element_from_str(part))
+        return tuple(out)
+
+
+def _split_top_level(text: str, sep: str) -> list[str]:
+    """``text.split(sep)``, except inside ``[…]`` brackets."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "[") - (ch == "]")
+        if ch == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
 
 
 def parse_model(descriptor: str) -> GroupModel:
@@ -598,22 +619,8 @@ def parse_model(descriptor: str) -> GroupModel:
         body = descriptor[len("product:"):].strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise ValueError(f"malformed product descriptor {descriptor!r}")
-        parts = []
-        depth = 0
-        current = []
-        for ch in body[1:-1]:
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            if ch == "," and depth == 0:
-                parts.append("".join(current))
-                current = []
-            else:
-                current.append(ch)
-        if current:
-            parts.append("".join(current))
-        return DirectProduct(parse_model(p) for p in parts)
+        return DirectProduct(parse_model(p)
+                             for p in _split_top_level(body[1:-1], ","))
     try:
         kind, _, param = descriptor.partition(":")
         value = int(param)

@@ -96,19 +96,12 @@ def random_chain(model, spec: RandomChainSpec, rng: random.Random,
 # -- shipped example homomorphisms --------------------------------------------
 
 
-def _hom_abelian2_to_z(cap: int) -> GroupHomomorphism:
-    hom = GroupHomomorphism(FreeAbelian(2), FreeAbelian(1), [(1,), (0,)])
-    return with_kernel_control(hom, 1, 10, cap)
-
-
-def _hom_z_to_cyclic5(cap: int) -> GroupHomomorphism:
-    return with_kernel_control(
-        GroupHomomorphism(FreeAbelian(1), Cyclic(5), [1]), 1, 10, cap)
-
-
+# name -> factory(cap); kernel-control certificates are checked out to r = 10
 EXAMPLE_HOMOMORPHISMS = {
-    "abelian2-to-z": _hom_abelian2_to_z,
-    "z-to-cyclic5": _hom_z_to_cyclic5,
+    "abelian2-to-z": lambda cap: with_kernel_control(GroupHomomorphism(
+        FreeAbelian(2), FreeAbelian(1), [(1,), (0,)]), 1, 10, cap),
+    "z-to-cyclic5": lambda cap: with_kernel_control(GroupHomomorphism(
+        FreeAbelian(1), Cyclic(5), [1]), 1, 10, cap),
     "free2-identity": lambda cap: identity_homomorphism(FreeGroup(2)),
 }
 

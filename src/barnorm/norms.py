@@ -49,9 +49,7 @@ REL_SLACK = 1e-9
 
 
 def leq_with_slack(lhs: float, rhs: float, slack: float = REL_SLACK) -> bool:
-    if lhs <= rhs:
-        return True
-    return lhs - rhs <= slack * max(abs(lhs), abs(rhs))
+    return lhs <= rhs or lhs - rhs <= slack * max(abs(lhs), abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -198,7 +196,6 @@ class ContractivityReport:
     ok: bool
 
 
-
 def check_contractivity(chain: Chain, n: int, p, q) -> ContractivityReport:
     """Verify ‖c‖_{n,q} <= ‖c‖_{n,p} for finite q > p, together with the
     sup-norm comparison ‖c‖_{n,∞} <= ‖c‖_{⌈np⌉,p}.
@@ -249,7 +246,6 @@ class InequalityReport:
     @property
     def ratio(self) -> float:
         return _ratio(self.lhs, self.rhs)
-
 
 
 def verify_comparison(chain: Chain, n: int, p, q, growth_degree: int,
@@ -348,7 +344,6 @@ class PushforwardReport:
     exact: bool
     ratio_primary: float
     ratio_alternate: float
-
 
 
 def verify_pushforward_estimate(hom: GroupHomomorphism, chain: Chain,

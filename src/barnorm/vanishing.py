@@ -13,9 +13,11 @@ via the suffix pair ``s = α^{d+1} β^{d+1}``, ``t = β^{d+1} α^{d+1}``:
 All words consist of non-negative generator powers, so no cancellation can
 occur; distinctness of all children within a level is asserted at build time
 rather than assumed, and each child is validated there, once.  Markers are
-assigned canonically: the level's words in shortlex order receive the base-2
-expansions of their index (α for digit 0, β for digit 1), left-padded to
-length ``2d`` — determinism makes every derived norm value reproducible.
+canonical: the level's words in shortlex order receive the base-2 expansions
+of their index (α for digit 0, β for digit 1), left-padded to length ``2d``
+— determinism makes every derived norm value reproducible.  A level stores
+only its shortlex words and signs; its markers are derived from the index
+on first read, so the top level built (which nothing cones) never has any.
 
 Each level word ``x`` at level ``d`` carries two 2-simplices
 
@@ -37,6 +39,7 @@ distinct simplices of equal |coefficient| ``1/2^{D+1}``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .chains import Chain, boundary
@@ -66,11 +69,10 @@ def _marker(index: int, width: int) -> bytes:
 
 @dataclass(frozen=True)
 class LevelData:
-    """One construction level: words in shortlex order, markers, signs."""
+    """One construction level: words in shortlex order and their signs."""
 
     level: int
     words: tuple
-    markers: dict
     signs: dict
 
     def __post_init__(self):
@@ -81,6 +83,13 @@ class LevelData:
                 f"words, expected {4 ** self.level}"
             )
 
+    @cached_property
+    def markers(self) -> dict:
+        """Word ↦ the base-2 expansion of its shortlex index (an idempotent
+        fill on first read)."""
+        width = 2 * self.level
+        return {w: _marker(i, width) for i, w in enumerate(self.words)}
+
 
 class VanishingConstruction:
     """Builds levels lazily and exposes the partial sums and their decay."""
@@ -88,7 +97,7 @@ class VanishingConstruction:
     def __init__(self, max_level: int = DEFAULT_MAX_LEVEL):
         self.model = FreeGroup(2)
         self.max_level = max_level
-        self._levels: list[LevelData] = []
+        self._levels = [LevelData(0, (ALPHA,), {ALPHA: 1})]
 
     def level(self, d: int) -> LevelData:
         if d > self.max_level:
@@ -101,10 +110,6 @@ class VanishingConstruction:
 
     def _build_next(self) -> None:
         d = len(self._levels)
-        if d == 0:
-            data = LevelData(0, (ALPHA,), {ALPHA: b""}, {ALPHA: 1})
-            self._levels.append(data)
-            return
         parent = self._levels[d - 1]
         validate = self.model.validate
         signs: dict[bytes, int] = {}
@@ -119,17 +124,15 @@ class VanishingConstruction:
                     validate(child)
                     signs[child] = child_sign
         ordered = tuple(sorted(signs, key=lambda w: (len(w), w)))
-        markers = {w: _marker(i, 2 * d) for i, w in enumerate(ordered)}
-        self._levels.append(LevelData(d, ordered, markers, signs))
+        self._levels.append(LevelData(d, ordered, signs))
 
     # -- simplices and partial sums -----------------------------------------
 
     def cone_simplices(self, x: bytes, d: int) -> tuple[tuple, tuple]:
         """The two 2-simplices attached to a level-``d`` word ``x``."""
-        data = self.level(d)
-        if x not in data.markers:
+        m_x = self.level(d).markers.get(x)
+        if m_x is None:
             raise ValueError(f"{x!r} is not a level-{d} word")
-        m_x = data.markers[x]
         s_next, t_next = suffix_pair(d + 1)
         return (x, x + m_x + s_next), (x, x + m_x + t_next)
 

@@ -1,5 +1,6 @@
 """Independent test oracles: plain breadth-first search on Cayley graphs,
-a tuple-word free group, and a term-by-term norm evaluator.
+a tuple-word free group, a term-by-term norm evaluator and a term-by-term
+cone.
 
 The BFS multiplies by generators only and never consults the model's
 word-length or sphere code, so it is a genuinely independent check of the
@@ -8,6 +9,8 @@ metric and of sphere enumeration.
 
 import math
 from fractions import Fraction
+
+from barnorm.chains import Chain
 
 
 def bfs_distances(model, radius):
@@ -107,3 +110,19 @@ def per_term_norm(chain, n, p):
     if not math.isfinite(value):
         raise OverflowError(f"lp value at p = {p} exceeds float range")
     return value
+
+
+def reference_cone(operator, chain):
+    """The averaged cone written out as in the paper: each simplex ``s`` of
+    diameter ``r`` contributes ``a_s/|Z_r|`` times the re-based cone
+    ``(z⁻¹, z⁻¹g1, …, z⁻¹gk)`` for every cone point ``z`` of the annulus,
+    inverting each ``z`` explicitly and summing through ``from_terms``."""
+    model = chain.model
+    terms = []
+    for s, a in chain.terms():
+        annulus = operator.annulus(model.diameter(s))
+        for z in annulus:
+            zi = model.inverse(z)
+            coned = (zi,) + tuple(model.multiply(zi, v) for v in s)
+            terms.append((coned, a / len(annulus)))
+    return Chain.from_terms(model, chain.degree + 1, terms)

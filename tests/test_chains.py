@@ -238,6 +238,23 @@ class TestHomomorphisms:
         # commuting free images are fine
         GroupHomomorphism(Z2, F2, [w(1), w(1, 1)])
 
+    def test_product_images_commute_only_across_factors(self):
+        # generators of one free factor need not commute with each other
+        model = parse_model("product:[free:2,cyclic:3]")
+        hom = identity_homomorphism(model)
+        rng = random.Random(29)
+        for _ in range(20):
+            c = random_chain(model, 2, 6, 2, rng)
+            assert push_forward(hom, c) == c
+        # a, b, a: the free factor's images are free; b (first factor) and a
+        # (second factor) must commute but do not
+        source = parse_model("product:[free:2,abelian:1]")
+        GroupHomomorphism(source, F2, [w(1), w(2), w()])
+        with pytest.raises(ValueError, match="'b' and 'a' do not commute"):
+            GroupHomomorphism(source, F2, [w(1), w(2), w(1)])
+        with pytest.raises(ValueError, match="'a' violates the order-3"):
+            GroupHomomorphism(model, F2, [w(1), w(2), w(1)])
+
     def test_wrong_model_rejected(self):
         proj = GroupHomomorphism(Z2, Z, [(1,), (0,)])
         with pytest.raises(ValueError):
@@ -275,6 +292,21 @@ class TestSerialization:
             back = chain_from_records(model, json.loads(blob))
             assert back == c
             assert chain_to_records(back) == records
+
+    @settings(max_examples=40, deadline=None)
+    @given(desc=st.sampled_from([
+        "product:[free:2,cyclic:3]",
+        "product:[abelian:2,free:1]",
+        "product:[product:[free:2,cyclic:3],abelian:1]",
+        "product:[cyclic:4,product:[free:1,product:[abelian:1,free:2]]]",
+    ]), seed=st.integers(0, 2**32 - 1), degree=st.integers(1, 3))
+    def test_product_records_round_trip(self, desc, seed, degree):
+        model = parse_model(desc)
+        c = random_chain(model, degree, 6, 2, random.Random(seed))
+        records = json.loads(json.dumps(chain_to_records(c)))
+        back = chain_from_records(model, records)
+        assert back == c
+        assert chain_to_records(back) == records
 
     def test_coefficients_as_reduced_fractions(self):
         c = Chain.single(F2, (w(1),), Fraction(2, 4))

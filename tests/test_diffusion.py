@@ -1,7 +1,9 @@
 import random
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from barnorm.chains import Chain, boundary
 from barnorm.diffusion import AnnuliConfig, DiffusionOperator
@@ -9,12 +11,17 @@ from barnorm.errors import EmptyAnnulus, EnumerationTooLarge
 from barnorm.groups import Cyclic, FreeAbelian, FreeGroup, parse_model
 from barnorm.harness import RandomChainSpec, random_chain
 from barnorm.norms import weighted_norm
+from oracles import reference_cone
 
 F2 = FreeGroup(2)
 Z2 = FreeAbelian(2)
 w = F2.word
 A = w(1)
 E = F2.identity
+
+
+# every kind, for the rules that rest on a symmetric generating set
+MODELS = [F2, Z2, Cyclic(7), parse_model("product:[free:2,cyclic:5]")]
 
 
 def operator(model=F2, degree=2, cap=None):
@@ -88,6 +95,14 @@ class TestAnnuli:
         op = operator()
         assert op.annulus(2) is op.annulus(2)
 
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.describe())
+    def test_annuli_are_inverse_closed(self, model):
+        # the cone reads each annulus as its own set of re-based cone points
+        op = operator(model=model)
+        for r in range(4):
+            annulus = op.annulus(r)
+            assert set(map(model.inverse, annulus)) == set(annulus)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AnnuliConfig(degree=1)
@@ -132,6 +147,52 @@ class TestCone:
         chain = Chain.single(Cyclic(7), (3,))  # diameter 3, lengths {8, 9}
         with pytest.raises(EmptyAnnulus):
             op.cone(chain)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.describe())
+    def test_matches_term_by_term_reference(self, model):
+        op = operator(model=model)
+        ball = model.ball(2)
+        rng = random.Random(59)
+        for degree in (0, 1, 2):
+            for _ in range(5):
+                terms = []
+                while len(terms) < 3:
+                    s = tuple(rng.choice(ball) for _ in range(degree))
+                    if model.diameter(s) <= 2:
+                        terms.append((s, Fraction(rng.randint(1, 5),
+                                                  rng.randint(1, 3))))
+                c = Chain.from_terms(model, degree, terms)
+                assert op.cone(c) == reference_cone(op, c)
+
+    def test_cone_during_annulus_fill(self, monkeypatch):
+        # a cone racing the first fill of its annulus must see the whole
+        # memo: model.inverse blocks the filling thread for as long as the
+        # other thread needs, so a fill that stores its annulus before
+        # inverting it hands the second thread a half-built memo
+        model = FreeGroup(2)
+        op = operator(model=model)
+        filling, release = threading.Event(), threading.Event()
+        filler = threading.Thread(target=op.annulus, args=(2,))
+        original = model.inverse
+
+        def inverse(g):
+            if threading.current_thread() is filler:
+                filling.set()
+                release.wait(10)
+            return original(g)
+
+        monkeypatch.setattr(model, "inverse", inverse)
+        c = Chain.single(model, (w(1, 2),), Fraction(1, 3))
+        filler.start()
+        try:
+            while filler.is_alive() and not filling.wait(0.01):
+                pass
+            coned = op.cone(c)
+        finally:
+            release.set()
+            filler.join(10)
+        assert not filler.is_alive()
+        assert coned == reference_cone(op, c)
 
     def test_different_model_rejected(self):
         with pytest.raises(ValueError):
@@ -211,6 +272,23 @@ class TestChainMap:
                 if d_c:
                     rhs = rhs + op.cone(d_c)
                 assert c - mapped == rhs
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.describe())
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_homotopy_identity_property(self, model, data):
+        # c − E(c) = ∂B(c) + B(∂c) at N = 2 on chains of diameter <= 2
+        op = operator(model=model)
+        ball = model.ball(2)
+        degree = data.draw(st.integers(1, 3), label="degree")
+        simplex = st.tuples(*[st.sampled_from(ball)] * degree).filter(
+            lambda s: model.diameter(s) <= 2)
+        coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        terms = data.draw(st.lists(st.tuples(simplex, coeff), min_size=1,
+                                   max_size=3), label="terms")
+        c = Chain.from_terms(model, degree, terms)
+        assert c - op.chain_map(c) == \
+            boundary(op.cone(c)) + op.cone(boundary(c))
 
     def test_is_chain_map(self):
         op = operator()

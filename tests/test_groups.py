@@ -280,6 +280,21 @@ class TestSerialization:
         g = (w(1, 2), 2)
         assert model.element_from_str(model.element_to_str(g)) == g
 
+    def test_nested_product_elements(self):
+        # product-valued components are bracketed; flat products are not
+        flat = parse_model("product:[free:2,cyclic:3]")
+        nested = parse_model("product:[product:[free:2,cyclic:3],abelian:1]")
+        assert flat.element_to_str((w(1, 2), 2)) == "ab;2"
+        assert nested.element_to_str(((w(1), 0), (0,))) == "[a;0];0"
+        assert nested.element_from_str("[a;0];0") == ((w(1), 0), (0,))
+        for model in (flat, nested):
+            for g in model.ball(3):
+                assert model.element_from_str(model.element_to_str(g)) == g
+        with pytest.raises(ValueError, match="expected 2 components"):
+            nested.element_from_str("a;0;0")
+        with pytest.raises(ValueError, match="needs brackets"):
+            nested.element_from_str("a;0")
+
     def test_descriptor_round_trip(self):
         for desc in ("free:2", "abelian:3", "cyclic:7",
                      "product:[free:2,cyclic:3]",

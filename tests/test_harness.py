@@ -304,6 +304,23 @@ class TestCli:
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, option, value, low", [
+        ("growth", "--r-max", "0", 1),
+        ("growth", "--r-max", "-3", 1),
+        ("diffuse", "--N", "1", 2),
+        ("diffuse", "--degree", "-1", 0),
+        ("diffuse", "--ratio-m", "-1", 0),
+        ("diffuse", "--max-diameter", "-1", 0),
+    ])
+    def test_int_below_its_bound_names_option(self, tmp_path, capsys, command,
+                                              option, value, low):
+        with pytest.raises(SystemExit) as exit_info:
+            self.run(command, option, value, "--outdir", str(tmp_path / "out"))
+        assert exit_info.value.code == 2
+        assert f"argument {option}: invalid value '{value}' (must be >= {low})" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("option", ["--p", "--q"])
     def test_exponent_below_one_names_option(self, tmp_path, capsys, option):
         with pytest.raises(SystemExit) as exit_info:

@@ -1,15 +1,20 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+from barnorm import vanishing
 from barnorm.chains import Chain, boundary
 from barnorm.errors import CollisionDetected
 from barnorm.groups import FreeGroup
+from barnorm.harness import run_f2
 from barnorm.norms import weighted_power_sum
 from barnorm.vanishing import (
     ALPHA,
     BETA,
+    LevelData,
     VanishingConstruction,
+    _marker,
     suffix_pair,
 )
 
@@ -65,6 +70,31 @@ class TestLevels:
         assert all(len(m) == 2 * d for m in markers)
         # positive words only: no inverse letters ever appear
         assert all(set(x) <= set(ALPHA + BETA) for x in data.words)
+
+    @pytest.mark.parametrize("d", range(6))
+    def test_markers_are_the_shortlex_index(self, construction, d):
+        data = construction.level(d)
+        assert list(data.words) == sorted(data.words,
+                                          key=lambda x: (len(x), x))
+        for i, x in enumerate(data.words):
+            digits = [(i >> k) & 1 for k in reversed(range(2 * d))]
+            expected = b"".join(BETA if bit else ALPHA for bit in digits)
+            assert data.markers[x] == _marker(i, 2 * d) == expected
+
+    def test_top_level_builds_no_markers(self, monkeypatch):
+        # run_f2(L) builds level L + 1 for the cone tips; nothing cones it,
+        # so only levels 0..L may derive markers, each level once
+        widths = []
+
+        def marker(index, width):
+            widths.append(width)
+            return _marker(index, width)
+
+        monkeypatch.setattr(vanishing, "_marker", marker)
+        run_f2(3, [(0, 3)])
+        assert sorted(set(widths)) == [0, 2, 4, 6]
+        assert len(widths) == 1 + 4 + 16 + 64
+        assert "markers" not in {f.name for f in fields(LevelData)}
 
     def test_word_length_growth(self, construction):
         for d in range(7):
@@ -239,6 +269,5 @@ class TestDirectChains:
 class TestCollisionGuards:
     def test_forged_duplicate_detected(self):
         # a LevelData with the wrong cardinality must refuse to exist
-        from barnorm.vanishing import LevelData
         with pytest.raises(CollisionDetected):
-            LevelData(1, (w(1, 2),) * 4, {}, {})
+            LevelData(1, (w(1, 2),) * 4, {})
