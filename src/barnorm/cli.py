@@ -115,6 +115,12 @@ def _int_at_least(low: int, text: str) -> int:
 _non_negative_int = partial(_int_at_least, 0)
 
 
+def _radius(text: str) -> int:
+    if _non_negative_int(text) == 0:  # the radius-0 ball is {e}: no draw
+        raise argparse.ArgumentTypeError(f"invalid value {text!r} (must be >= 1)")
+    return int(text)
+
+
 def _norm_pairs(text: str) -> list:
     try:
         return [astuple(NormParams.parse(part)) for part in text.split(",")]
@@ -164,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_exponent, default=2.0)
     p.add_argument("--q", type=_exponent, default=4.0)
     p.add_argument("--trials", type=_non_negative_int, default=50)
-    p.add_argument("--radius", type=_non_negative_int, default=3)
+    p.add_argument("--radius", type=_radius, default=3)
     p.add_argument("--support", type=_non_negative_int, default=8)
 
     p = sub.add_parser("compare-pq", help="polynomial-growth norm comparison")
@@ -176,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_exponent, default=2.0)
     p.add_argument("--q", type=_exponent, default=4.0)
     p.add_argument("--trials", type=_non_negative_int, default=50)
-    p.add_argument("--radius", type=_non_negative_int, default=8)
+    p.add_argument("--radius", type=_radius, default=8)
     p.add_argument("--support", type=_non_negative_int, default=10)
 
     p = sub.add_parser("pushforward", help="functoriality norm estimates")
@@ -187,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_non_negative_int, default=0)
     p.add_argument("--p", type=_exponent, default=1.0)
     p.add_argument("--trials", type=_non_negative_int, default=50)
-    p.add_argument("--radius", type=_non_negative_int, default=6)
+    p.add_argument("--radius", type=_radius, default=6)
     p.add_argument("--support", type=_non_negative_int, default=8)
 
     p = sub.add_parser("diffuse", help="diffusion cone homotopy and bound checks")
@@ -202,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_exponent, default=4.0)
     p.add_argument("--ratio-m", type=_non_negative_int, default=None)
     p.add_argument("--trials", type=_non_negative_int, default=20)
-    p.add_argument("--radius", type=_non_negative_int, default=2)
+    p.add_argument("--radius", type=_radius, default=2)
     p.add_argument("--support", type=_non_negative_int, default=3)
     p.add_argument("--max-diameter", type=_non_negative_int, default=None)
     p.add_argument("--chain", type=Path, default=None,

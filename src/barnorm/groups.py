@@ -271,6 +271,8 @@ class FreeGroup(GroupModel):
             raise ValueError(
                 f"free group element must be bytes (build it with "
                 f"FreeGroup.word), got {g!r}")
+        if not g.translate(None, self._alphabet[self.rank:]):
+            return  # a positive word is reduced
         stray = g.translate(None, self._alphabet)
         if stray:
             raise ValueError(

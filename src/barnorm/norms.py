@@ -13,9 +13,10 @@ seminorms — the Fréchet family adds the boundary norm to separate points).
 Coefficients stay exact rationals until a norm value is needed.  A chain's
 norms read its weight profile ``{(|a|, diam): count}`` over its integer
 numerators ``a`` (common denominator ``D``), built with one ``diameter`` call
-per simplex at the chain's first norm and kept on the chain.  Every lp value
-here — chain norms and fibered families alike — comes from one evaluator
-over ``(|a|, w, count)`` terms, ``w = diam^n``, with three regimes:
+per simplex at the chain's first norm and kept on the chain, unless its
+constructor knew the diameters and supplied it (the F₂ construction does).
+Every lp value here — chain norms and fibered families alike — comes from
+one evaluator over ``(|a|, w, count)`` terms, ``w = diam^n``, in three regimes:
 
 * ``p = ∞`` (the distinct value ``math.inf``): the largest ``|a|·(1/D)·w``;
 * integer ``p``: the exact ``Σ count·|a|^p·w / D^p``, rooted once at the
@@ -143,7 +144,7 @@ def diameter_map(chain: Chain) -> dict:
     return dict(zip(chain._numer, map(chain.model.diameter, chain._numer)))
 
 
-def _weight_profile(chain: Chain) -> Counter:
+def _weight_profile(chain: Chain) -> dict:
     """The chain's ``{(|numerator|, diameter): count}``, filled on first use;
     the only place this module computes diameters."""
     if chain._profile is None:

@@ -29,11 +29,14 @@ signs arranged so that the level sums telescope: with
     b(D) = Σ_{d<=D} Σ_{x in level d} ε(x)/2^{d+1} · (s(x) + t(x))
 
 one gets exactly ``∂b(D) = [e,α] − Σ_{y in level D+1} ε(y)/2^{D+1}·[e,y]``.
-The children are the cone tips and their parts past ``x``, so chunks and edge
-sums have validated vertices and are built directly as ``±1`` numerators over
-``2^{d+1}`` and ``2^d``.  The tail norm at weight degree 0 decays iff p > 2,
-which the decay table makes observable: level-D increments have ``2·4^D``
-distinct simplices of equal |coefficient| ``1/2^{D+1}``.
+The children are the cone tips (a chunk reads them back from the next level)
+and their parts past ``x``, so chunks and edge sums are built directly as ``±1``
+numerators over ``2^{d+1}`` and ``2^d``, with the weight profiles positive words
+give (``diam(x, x·m·s) = |x·m·s|``, ``diam(y) = |y|``).  The identity is checked
+key by key against the edge sum, whose norms are the tail's: the tail is its
+negative.  The tail norm at weight degree 0 decays iff p > 2, which the decay
+table makes observable: level-D increments have ``2·4^D`` distinct simplices
+of equal |coefficient| ``1/2^{D+1}``.
 """
 
 from __future__ import annotations
@@ -58,6 +61,12 @@ def suffix_pair(d: int) -> tuple[bytes, bytes]:
     if d < 0:
         raise ValueError("suffix index must be >= 0")
     return ALPHA * d + BETA * d, BETA * d + ALPHA * d
+
+
+def _with_unit_profile(chain: Chain, diameters: list) -> Chain:
+    """``chain`` (numerators ±1) with the profile of its simplex diameters."""
+    chain._profile = {(1, n): diameters.count(n) for n in set(diameters)}
+    return chain
 
 
 def _marker(index: int, width: int) -> bytes:
@@ -111,19 +120,18 @@ class VanishingConstruction:
     def _build_next(self) -> None:
         d = len(self._levels)
         parent = self._levels[d - 1]
-        validate = self.model.validate
+        markers, parent_signs = parent.markers, parent.signs
+        s_next, t_next = suffix_pair(d)
+        # per parent: tip s, tip t, their parts past x (level_chunk relies on it)
         signs: dict[bytes, int] = {}
         for x in parent.words:
-            sign = parent.signs[x]
-            for _, tip in self.cone_simplices(x, d - 1):
-                for child, child_sign in ((tip, sign), (tip[len(x):], -sign)):
-                    if child in signs:
-                        raise CollisionDetected(
-                            f"level {d}: child word {child!r} produced twice"
-                        )
-                    validate(child)
-                    signs[child] = child_sign
-        ordered = tuple(sorted(signs, key=lambda w: (len(w), w)))
+            sign = parent_signs[x]
+            m_s, m_t = markers[x] + s_next, markers[x] + t_next
+            signs[x + m_s] = signs[x + m_t] = sign
+            signs[m_s] = signs[m_t] = -sign
+        for child in signs:
+            self.model.validate(child)
+        ordered = tuple(sorted(sorted(signs), key=len))  # shortlex, stable
         self._levels.append(LevelData(d, ordered, signs))
 
     # -- simplices and partial sums -----------------------------------------
@@ -138,24 +146,24 @@ class VanishingConstruction:
 
     def level_chunk(self, d: int) -> Chain:
         """Σ_{x in level d} ε(x)/2^{d+1} · (s(x) + t(x)) as an exact chain;
-        builds level ``d + 1`` (the validated cone tips) first."""
-        self.level(d + 1)
+        its cone tips are read back from level ``d + 1``, built first."""
+        children = iter(self.level(d + 1).signs)
         data = self.level(d)
         numer = {}
-        for x in data.words:
-            s_x, t_x = self.cone_simplices(x, d)
-            numer[s_x] = numer[t_x] = data.signs[x]
+        for x, tip_s, tip_t, _, _ in zip(data.words, *[children] * 4):
+            numer[x, tip_s] = numer[x, tip_t] = data.signs[x]
         if len(numer) != 2 * len(data.words):
             raise CollisionDetected(
                 f"level {d}: expected {2 * len(data.words)} distinct "
                 f"2-simplices, got {len(numer)}"
             )
-        return Chain(self.model, 2, 2 ** (d + 1), numer)
+        return _with_unit_profile(Chain(self.model, 2, 2 ** (d + 1), numer),
+                                  [len(tip) for _, tip in numer])
 
     def partial_sum(self, top_level: int) -> Chain:
         """b(D): the weighted sum of all chunks through ``top_level``, taken
         from the telescoping pass (so every level's checks run)."""
-        for _, _, total, _ in self._telescope(top_level):
+        for _, _, total, _, _ in self._telescope(top_level):
             pass
         return total
 
@@ -165,19 +173,20 @@ class VanishingConstruction:
         numer = {(y,): data.signs[y] for y in data.words}
         if len(numer) != len(data.words):
             raise CollisionDetected(f"level-{d} edges are not distinct")
-        return Chain(self.model, 1, 2**d, numer)
+        return _with_unit_profile(Chain(self.model, 1, 2**d, numer),
+                                  list(map(len, data.words)))
 
     def boundary_tail(self, top_level: int) -> Chain:
         """∂b(D) − [e,α], after asserting the exact telescoping identity
 
             ∂b(D) = [e,α] − Σ_{y in level D+1} ε(y)/2^{D+1} · [e,y].
         """
-        for _, _, _, tail in self._telescope(top_level):
+        for _, _, _, bd, _ in self._telescope(top_level):
             pass
-        return tail
+        return bd - Chain.single(self.model, (ALPHA,))
 
     def _telescope(self, top_level: int) -> Iterator[tuple]:
-        """Yield ``(d, chunk(d), b(d), ∂b(d) − [e,α])`` for d = 0..top_level.
+        """Yield ``(d, chunk(d), b(d), ∂b(d), edge_sum(d+1))``, d = 0..top_level.
 
         The boundary is accumulated as ``∂b(d) = ∂b(d−1) + ∂chunk(d)``, so
         every chunk's boundary and every ``edge_sum(d+1)`` is built once.
@@ -201,11 +210,20 @@ class VanishingConstruction:
                     f"{len(total)}, expected {expected}"
                 )
             bd = bd + boundary(chunk)
-            if bd != generator_edge - self.edge_sum(d + 1):
-                raise AssertionError(
-                    f"telescoping identity failed at level {d}"
-                )
-            yield d, chunk, total, bd - generator_edge
+            yield d, chunk, total, bd, self._checked_edges(d, bd, generator_edge)
+
+    def _checked_edges(self, d: int, bd: Chain, generator_edge: Chain) -> Chain:
+        """``edge_sum(d+1)``, once ``∂b(d) == [e,α] − edge_sum(d+1)`` (canonical
+        over the edges' denominator) is asserted key by key."""
+        edges = self.edge_sum(d + 1)
+        numer, denom, expected = bd._numer, bd._denom, edges._numer
+        (alpha, unit), = generator_edge._numer.items()
+        if not (denom == edges._denom and alpha not in expected
+                and len(numer) == len(expected) + 1
+                and numer.get(alpha) == unit * denom
+                and all(numer.get(k) == -a for k, a in expected.items())):
+            raise AssertionError(f"telescoping identity failed at level {d}")
+        return edges
 
     # -- decay reporting ------------------------------------------------------
 
@@ -226,7 +244,7 @@ class VanishingConstruction:
         norm_params = list(norm_params)
         # per norm pair: increment norms, tail norms, envelopes by level
         columns = [([], [], []) for _ in norm_params]
-        for d, chunk, _, tail in self._telescope(max_level):
+        for d, chunk, _, _, edges in self._telescope(max_level):
             if d == 0:
                 continue
             profile = _weight_profile(chunk)
@@ -247,9 +265,9 @@ class VanishingConstruction:
                         f"{envelope} at level {d}, (n,p)=({n},{p})"
                     )
                 increments.append(inc)
-                tails.append(weighted_norm(tail, n, p))
+                tails.append(weighted_norm(edges, n, p))  # the tail's negative
                 envelopes.append(envelope)
-            del tail  # not kept alive into the next level
+            del edges  # not kept alive into the next level
         rows: list[DecayRow] = []
         for (n, p), (increments, tails, envelopes) in zip(norm_params, columns):
             decreasing_from = _strictly_decreasing_from(increments)

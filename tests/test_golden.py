@@ -2,9 +2,9 @@
 one SHA-256 digest per command in ``golden_digests.json``.
 
 The digests cover the commands that ``bench/digests.json`` does not pin
-(``all --seed 42`` and the f2-vanish command are checked there).  Summary
-JSON files are left out: they hold wall times.  To print the digests of the
-current tree, run ``PYTHONPATH=src python tests/test_golden.py``.
+(``all --seed 42`` and the ``--levels 7`` f2-vanish command are checked
+there).  Summary JSON files are left out: they hold wall times.  To print the
+digests of the current tree, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
@@ -25,6 +25,7 @@ COMMANDS = (
     "pushforward --hom z-to-cyclic5 --p 1.5 --trials 30",
     "growth",
     "compare-pq --q inf --trials 20",
+    "f2-vanish --levels 8 --norms 0:3,0:2,1:2.5",
 )
 DIGESTS = json.loads(
     (Path(__file__).resolve().parent / "golden_digests.json").read_text(

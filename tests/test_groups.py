@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -410,6 +411,24 @@ class TestByteWords:
             model.validate(unreduced)
         with pytest.raises(ValueError, match="FreeGroup.word"):
             model.validate(tuple(sequences[0]))
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_validate_accepts_positive_words(self, rank):
+        model = FreeGroup(rank)
+        positive = model.positive_generators
+        for length in range(5):
+            for letters in itertools.product(positive, repeat=length):
+                model.validate(b"".join(letters))
+
+    def test_validate_still_rejects_non_canonical(self):
+        # the positive-word fast path must not wave through what the full
+        # checks reject
+        with pytest.raises(ValueError, match="not reduced"):
+            F2.validate(bytes((2, 1)))
+        with pytest.raises(ValueError, match="out of range"):
+            F2.validate(bytes((2, 3, 4)))
+        with pytest.raises(ValueError, match="FreeGroup.word"):
+            F2.validate((2, 3))
 
     def test_identity_and_letter_errors(self):
         assert F2.identity == b"" == w()

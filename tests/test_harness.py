@@ -75,6 +75,12 @@ class TestRandomChains:
             assert abs(value) <= 3
             assert value.denominator <= 6  # merged bound after reduction
 
+    def test_radius_zero_rejected_when_drawing(self):
+        with pytest.raises(ValueError, match="radius 0"):
+            RandomChainSpec(degree=1, support=3, radius=0)
+        spec = RandomChainSpec(degree=1, support=0, radius=0)
+        assert random_chain(F2, spec, random.Random(0)).is_zero()
+
     def test_impossible_spec_errors(self):
         spec = RandomChainSpec(degree=1, support=100, radius=1)
         with pytest.raises(ValueError):
@@ -311,6 +317,9 @@ class TestCli:
         ("diffuse", "--degree", "-1", 0),
         ("diffuse", "--ratio-m", "-1", 0),
         ("diffuse", "--max-diameter", "-1", 0),
+        # the radius-0 ball holds only the identity, so no draw succeeds
+        *((command, "--radius", "0", 1)
+          for command in ("norms", "compare-pq", "pushforward", "diffuse")),
     ])
     def test_int_below_its_bound_names_option(self, tmp_path, capsys, command,
                                               option, value, low):

@@ -6,9 +6,9 @@ import pytest
 from barnorm import vanishing
 from barnorm.chains import Chain, boundary
 from barnorm.errors import CollisionDetected
-from barnorm.groups import FreeGroup
+from barnorm.groups import FreeGroup, GroupModel
 from barnorm.harness import run_f2
-from barnorm.norms import weighted_power_sum
+from barnorm.norms import INF, _weight_profile, weighted_norm, weighted_power_sum
 from barnorm.vanishing import (
     ALPHA,
     BETA,
@@ -271,3 +271,45 @@ class TestCollisionGuards:
         # a LevelData with the wrong cardinality must refuse to exist
         with pytest.raises(CollisionDetected):
             LevelData(1, (w(1, 2),) * 4, {})
+
+    def test_forged_non_positive_child_validated(self, monkeypatch):
+        # a suffix with an inverse letter makes the tip α·α⁻¹ at level 1,
+        # which only the full check of validate can reject
+        monkeypatch.setattr(vanishing, "suffix_pair", lambda d: (w(-1), w(-2)))
+        with pytest.raises(ValueError, match="not reduced"):
+            VanishingConstruction().level(1)
+
+
+def recomputed_profile(chain):
+    """The weight profile of a copy of ``chain`` without the supplied one."""
+    return _weight_profile(Chain(chain.model, chain.degree, chain._denom,
+                                 dict(chain._numer)))
+
+
+class TestStructuralProfiles:
+    @pytest.mark.parametrize("d", range(6))
+    def test_supplied_profiles_match_recomputed(self, construction, d):
+        for chain in (construction.level_chunk(d), construction.edge_sum(d)):
+            assert chain._profile is not None
+            assert chain._profile == recomputed_profile(chain)
+        # the tail is −edge_sum(d+1), so the two share one profile
+        tail = construction.boundary_tail(d)
+        assert _weight_profile(tail) == construction.edge_sum(d + 1)._profile
+
+    def test_tail_norms_match_the_tail_chain(self, construction):
+        params = [(n, p) for n in range(3) for p in (2, 2.5, 3, INF)]
+        for row in construction.decay_table(5, params):
+            tail = construction.boundary_tail(row.level)
+            assert row.tail_norm == weighted_norm(tail, row.n, row.p)
+
+    def test_decay_table_calls_no_diameter(self, monkeypatch):
+        calls = []
+        original = GroupModel.diameter
+
+        def diameter(self, vertices):
+            calls.append(vertices)
+            return original(self, vertices)
+
+        monkeypatch.setattr(GroupModel, "diameter", diameter)
+        VanishingConstruction().decay_table(5, [(1, 3)])
+        assert calls == []
