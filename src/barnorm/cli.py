@@ -33,8 +33,9 @@ way.  The cap (``--cap``, or that default) bounds the ball of every chain
 draw (norms, compare-pq, pushforward, diffuse, all), the annuli of diffuse
 and the kernel-control balls of pushforward and all; a command that would
 exceed it exits with status 2 and writes nothing.  Exponent options below 1,
-negative counts, degrees, radii or levels, ``--r-max`` below 1 and ``--N``
-below 2 are usage errors naming the option.
+negative counts, degrees or levels, ``--radius`` (the radius-0 ball holds
+no draw) and ``--r-max`` below 1 and ``--N`` below 2 are usage errors naming
+the option.
 """
 
 from __future__ import annotations
@@ -115,12 +116,6 @@ def _int_at_least(low: int, text: str) -> int:
 _non_negative_int = partial(_int_at_least, 0)
 
 
-def _radius(text: str) -> int:
-    if _non_negative_int(text) == 0:  # the radius-0 ball is {e}: no draw
-        raise argparse.ArgumentTypeError(f"invalid value {text!r} (must be >= 1)")
-    return int(text)
-
-
 def _norm_pairs(text: str) -> list:
     try:
         return [astuple(NormParams.parse(part)) for part in text.split(",")]
@@ -170,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_exponent, default=2.0)
     p.add_argument("--q", type=_exponent, default=4.0)
     p.add_argument("--trials", type=_non_negative_int, default=50)
-    p.add_argument("--radius", type=_radius, default=3)
+    p.add_argument("--radius", type=partial(_int_at_least, 1), default=3)
     p.add_argument("--support", type=_non_negative_int, default=8)
 
     p = sub.add_parser("compare-pq", help="polynomial-growth norm comparison")
@@ -182,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_exponent, default=2.0)
     p.add_argument("--q", type=_exponent, default=4.0)
     p.add_argument("--trials", type=_non_negative_int, default=50)
-    p.add_argument("--radius", type=_radius, default=8)
+    p.add_argument("--radius", type=partial(_int_at_least, 1), default=8)
     p.add_argument("--support", type=_non_negative_int, default=10)
 
     p = sub.add_parser("pushforward", help="functoriality norm estimates")
@@ -193,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_non_negative_int, default=0)
     p.add_argument("--p", type=_exponent, default=1.0)
     p.add_argument("--trials", type=_non_negative_int, default=50)
-    p.add_argument("--radius", type=_radius, default=6)
+    p.add_argument("--radius", type=partial(_int_at_least, 1), default=6)
     p.add_argument("--support", type=_non_negative_int, default=8)
 
     p = sub.add_parser("diffuse", help="diffusion cone homotopy and bound checks")
@@ -208,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_exponent, default=4.0)
     p.add_argument("--ratio-m", type=_non_negative_int, default=None)
     p.add_argument("--trials", type=_non_negative_int, default=20)
-    p.add_argument("--radius", type=_radius, default=2)
+    p.add_argument("--radius", type=partial(_int_at_least, 1), default=2)
     p.add_argument("--support", type=_non_negative_int, default=3)
     p.add_argument("--max-diameter", type=_non_negative_int, default=None)
     p.add_argument("--chain", type=Path, default=None,

@@ -69,6 +69,9 @@ class RandomChainSpec:
 def random_chain(model, spec: RandomChainSpec, rng: random.Random,
                  cap: int = DEFAULT_ENUM_CAP) -> Chain:
     """A chain matching ``spec``, a pure function of the rng state."""
+    if spec.degree == 0 and spec.support:  # only the all-identity ``()``
+        raise ValueError(f"degree 0 has no simplex to draw "
+                         f"({spec.support} requested)")
     ball = model.ball(spec.radius, cap)
     identity = model.identity
     diam = model.diameter
@@ -305,9 +308,9 @@ def run_f2(levels: int, norm_params: Iterable[tuple[int, float]]) -> dict:
         data = construction.level(d)
         level_rows.append({
             "level": d,
-            "words": len(data.words),
-            "max_word_length": max(len(w) for w in data.words),
-            "markers_injective": len(set(data.markers.values())) == len(data.words),
+            "words": len(data.signs),
+            "max_word_length": max(map(len, data.signs)),
+            "markers_injective": len(set(data.markers.values())) == len(data.signs),
         })
     # decay_table asserts the telescoping identity at every level 0..levels
     # (and the support envelope of every row); a failed assertion is one

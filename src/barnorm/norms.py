@@ -12,9 +12,10 @@ seminorms — the Fréchet family adds the boundary norm to separate points).
 
 Coefficients stay exact rationals until a norm value is needed.  A chain's
 norms read its weight profile ``{(|a|, diam): count}`` over its integer
-numerators ``a`` (common denominator ``D``), built with one ``diameter`` call
-per simplex at the chain's first norm and kept on the chain, unless its
-constructor knew the diameters and supplied it (the F₂ construction does).
+numerators ``a`` (common denominator ``D``), built once and kept on the chain:
+from one ``diameter`` call per simplex at the chain's first norm, or from
+the diameters a builder that knows them passes in support order right after
+construction (the F₂ construction does).
 Every lp value here — chain norms and fibered families alike — comes from
 one evaluator over ``(|a|, w, count)`` terms, ``w = diam^n``, in three regimes:
 
@@ -49,8 +50,8 @@ ZETA2 = math.pi**2 / 6
 REL_SLACK = 1e-9
 
 
-def leq_with_slack(lhs: float, rhs: float, slack: float = REL_SLACK) -> bool:
-    return lhs <= rhs or lhs - rhs <= slack * max(abs(lhs), abs(rhs))
+def leq_with_slack(lhs: float, rhs: float) -> bool:
+    return lhs <= rhs or lhs - rhs <= REL_SLACK * max(abs(lhs), abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -144,13 +145,15 @@ def diameter_map(chain: Chain) -> dict:
     return dict(zip(chain._numer, map(chain.model.diameter, chain._numer)))
 
 
-def _weight_profile(chain: Chain) -> dict:
+def _weight_profile(chain: Chain, diameters: Optional[Iterable] = None) -> dict:
     """The chain's ``{(|numerator|, diameter): count}``, filled on first use;
-    the only place this module computes diameters."""
+    ``diameters`` lists each simplex's diameter in support order (computed
+    here when omitted — the only place this module computes diameters)."""
     if chain._profile is None:
         numer = chain._numer
-        chain._profile = Counter(zip(map(abs, numer.values()),
-                                     map(chain.model.diameter, numer)))
+        if diameters is None:
+            diameters = map(chain.model.diameter, numer)
+        chain._profile = Counter(zip(map(abs, numer.values()), diameters))
     return chain._profile
 
 

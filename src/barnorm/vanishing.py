@@ -16,8 +16,10 @@ rather than assumed, and each child is validated there, once.  Markers are
 canonical: the level's words in shortlex order receive the base-2 expansions
 of their index (α for digit 0, β for digit 1), left-padded to length ``2d``
 — determinism makes every derived norm value reproducible.  A level stores
-only its shortlex words and signs; its markers are derived from the index
-on first read, so the top level built (which nothing cones) never has any.
+one table, word ↦ sign, in build order: per parent word (in its level's
+build order) the tips ``x·m·s``, ``x·m·t``, then their parts past ``x``.
+Its shortlex words and markers are derived on first read, so the top level
+built (which nothing cones) is never sorted and never has markers.
 
 Each level word ``x`` at level ``d`` carries two 2-simplices
 
@@ -63,12 +65,6 @@ def suffix_pair(d: int) -> tuple[bytes, bytes]:
     return ALPHA * d + BETA * d, BETA * d + ALPHA * d
 
 
-def _with_unit_profile(chain: Chain, diameters: list) -> Chain:
-    """``chain`` (numerators ±1) with the profile of its simplex diameters."""
-    chain._profile = {(1, n): diameters.count(n) for n in set(diameters)}
-    return chain
-
-
 def _marker(index: int, width: int) -> bytes:
     # base-2 expansion of index, α for 0-digit, β for 1-digit, left-padded
     if not width:
@@ -78,19 +74,22 @@ def _marker(index: int, width: int) -> bytes:
 
 @dataclass(frozen=True)
 class LevelData:
-    """One construction level: words in shortlex order and their signs."""
+    """One construction level: its word ↦ sign table, in build order."""
 
     level: int
-    words: tuple
     signs: dict
 
     def __post_init__(self):
-        if len(set(self.words)) != 4**self.level or \
-                len(self.words) != 4**self.level:
+        if len(self.signs) != 4**self.level:
             raise CollisionDetected(
-                f"level {self.level} has {len(set(self.words))} distinct "
+                f"level {self.level} has {len(self.signs)} distinct "
                 f"words, expected {4 ** self.level}"
             )
+
+    @cached_property
+    def words(self) -> tuple:
+        """The level's words in shortlex order (sorted on first read)."""
+        return tuple(sorted(sorted(self.signs), key=len))  # stable
 
     @cached_property
     def markers(self) -> dict:
@@ -106,7 +105,7 @@ class VanishingConstruction:
     def __init__(self, max_level: int = DEFAULT_MAX_LEVEL):
         self.model = FreeGroup(2)
         self.max_level = max_level
-        self._levels = [LevelData(0, (ALPHA,), {ALPHA: 1})]
+        self._levels = [LevelData(0, {ALPHA: 1})]
 
     def level(self, d: int) -> LevelData:
         if d > self.max_level:
@@ -120,19 +119,17 @@ class VanishingConstruction:
     def _build_next(self) -> None:
         d = len(self._levels)
         parent = self._levels[d - 1]
-        markers, parent_signs = parent.markers, parent.signs
+        markers = parent.markers
         s_next, t_next = suffix_pair(d)
         # per parent: tip s, tip t, their parts past x (level_chunk relies on it)
         signs: dict[bytes, int] = {}
-        for x in parent.words:
-            sign = parent_signs[x]
+        for x, sign in parent.signs.items():
             m_s, m_t = markers[x] + s_next, markers[x] + t_next
             signs[x + m_s] = signs[x + m_t] = sign
             signs[m_s] = signs[m_t] = -sign
         for child in signs:
             self.model.validate(child)
-        ordered = tuple(sorted(sorted(signs), key=len))  # shortlex, stable
-        self._levels.append(LevelData(d, ordered, signs))
+        self._levels.append(LevelData(d, signs))
 
     # -- simplices and partial sums -----------------------------------------
 
@@ -150,15 +147,17 @@ class VanishingConstruction:
         children = iter(self.level(d + 1).signs)
         data = self.level(d)
         numer = {}
-        for x, tip_s, tip_t, _, _ in zip(data.words, *[children] * 4):
-            numer[x, tip_s] = numer[x, tip_t] = data.signs[x]
-        if len(numer) != 2 * len(data.words):
+        for (x, sign), tip_s, tip_t, _, _ in zip(data.signs.items(),
+                                                 *[children] * 4):
+            numer[x, tip_s] = numer[x, tip_t] = sign
+        if len(numer) != 2 * len(data.signs):
             raise CollisionDetected(
-                f"level {d}: expected {2 * len(data.words)} distinct "
+                f"level {d}: expected {2 * len(data.signs)} distinct "
                 f"2-simplices, got {len(numer)}"
             )
-        return _with_unit_profile(Chain(self.model, 2, 2 ** (d + 1), numer),
-                                  [len(tip) for _, tip in numer])
+        chunk = Chain(self.model, 2, 2 ** (d + 1), numer)
+        _weight_profile(chunk, [len(tip) for _, tip in chunk._numer])
+        return chunk
 
     def partial_sum(self, top_level: int) -> Chain:
         """b(D): the weighted sum of all chunks through ``top_level``, taken
@@ -169,12 +168,11 @@ class VanishingConstruction:
 
     def edge_sum(self, d: int) -> Chain:
         """Σ_{y in level d} ε(y)/2^d · [e, y] (the telescoped tail shape)."""
-        data = self.level(d)
-        numer = {(y,): data.signs[y] for y in data.words}
-        if len(numer) != len(data.words):
-            raise CollisionDetected(f"level-{d} edges are not distinct")
-        return _with_unit_profile(Chain(self.model, 1, 2**d, numer),
-                                  list(map(len, data.words)))
+        signs = self.level(d).signs
+        edges = Chain(self.model, 1, 2**d,
+                      {(y,): sign for y, sign in signs.items()})
+        _weight_profile(edges, map(len, signs))
+        return edges
 
     def boundary_tail(self, top_level: int) -> Chain:
         """∂b(D) − [e,α], after asserting the exact telescoping identity
@@ -196,7 +194,6 @@ class VanishingConstruction:
         """
         if top_level < 0:
             raise ValueError("top level must be >= 0")
-        generator_edge = Chain.single(self.model, (ALPHA,))
         total = Chain.zero(self.model, 2)
         bd = Chain.zero(self.model, 1)
         expected = 0
@@ -210,17 +207,16 @@ class VanishingConstruction:
                     f"{len(total)}, expected {expected}"
                 )
             bd = bd + boundary(chunk)
-            yield d, chunk, total, bd, self._checked_edges(d, bd, generator_edge)
+            yield d, chunk, total, bd, self._checked_edges(d, bd)
 
-    def _checked_edges(self, d: int, bd: Chain, generator_edge: Chain) -> Chain:
+    def _checked_edges(self, d: int, bd: Chain) -> Chain:
         """``edge_sum(d+1)``, once ``∂b(d) == [e,α] − edge_sum(d+1)`` (canonical
         over the edges' denominator) is asserted key by key."""
         edges = self.edge_sum(d + 1)
         numer, denom, expected = bd._numer, bd._denom, edges._numer
-        (alpha, unit), = generator_edge._numer.items()
-        if not (denom == edges._denom and alpha not in expected
+        if not (denom == edges._denom and (ALPHA,) not in expected
                 and len(numer) == len(expected) + 1
-                and numer.get(alpha) == unit * denom
+                and numer.get((ALPHA,)) == denom
                 and all(numer.get(k) == -a for k, a in expected.items())):
             raise AssertionError(f"telescoping identity failed at level {d}")
         return edges

@@ -81,6 +81,15 @@ class TestRandomChains:
         spec = RandomChainSpec(degree=1, support=0, radius=0)
         assert random_chain(F2, spec, random.Random(0)).is_zero()
 
+    def test_degree_zero_rejected_before_drawing(self):
+        # the only degree-0 simplex is the all-identity (): neither the ball
+        # (beyond a cap of 1) nor the rng is touched
+        spec = RandomChainSpec(degree=0, support=1, radius=3)
+        with pytest.raises(ValueError, match="degree 0 has no simplex"):
+            random_chain(F2, spec, None, cap=1)
+        spec = RandomChainSpec(degree=0, support=0, radius=3)
+        assert random_chain(F2, spec, None).is_zero()
+
     def test_impossible_spec_errors(self):
         spec = RandomChainSpec(degree=1, support=100, radius=1)
         with pytest.raises(ValueError):
@@ -229,6 +238,20 @@ class TestCli:
         rows = (tmp_path / "diffuse.csv").read_text().splitlines()
         assert len(rows) == 3
 
+    def test_degree_zero_chain_file_needs_no_draw(self, tmp_path):
+        chain_path = tmp_path / "chain.json"
+        chain_path.write_text(json.dumps([{"simplex": [], "coeff": "1/2"}]))
+        code = self.run("diffuse", "--model", "free:2", "--degree", "0",
+                        "--chain", str(chain_path), "--outdir", str(tmp_path))
+        assert code == 0
+
+    def test_degree_zero_draw_names_the_degree(self, tmp_path, capsys):
+        code = self.run("norms", "--k", "0", "--trials", "1",
+                        "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert "error: degree 0 has no simplex to draw" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_cap_error_is_reported(self, tmp_path, capsys):
         code = self.run("diffuse", "--model", "free:2", "--N", "3",
                         "--degree", "1", "--radius", "3", "--max-diameter",
@@ -298,7 +321,6 @@ class TestCli:
         ("growth", "--growth-degree", "-1"),
         ("norms", "--trials", "-2"),
         ("compare-pq", "--k", "-1"),
-        ("diffuse", "--radius", "-1"),
         ("pushforward", "--support", "-1"),
     ])
     def test_negative_value_names_option(self, tmp_path, capsys, command,
@@ -320,6 +342,7 @@ class TestCli:
         # the radius-0 ball holds only the identity, so no draw succeeds
         *((command, "--radius", "0", 1)
           for command in ("norms", "compare-pq", "pushforward", "diffuse")),
+        ("diffuse", "--radius", "-1", 1),
     ])
     def test_int_below_its_bound_names_option(self, tmp_path, capsys, command,
                                               option, value, low):

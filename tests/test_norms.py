@@ -21,6 +21,7 @@ from barnorm.norms import (
     ZETA2,
     FiberedFamily,
     NormParams,
+    _weight_profile,
     check_contractivity,
     comparison_exponent,
     diameter_map,
@@ -427,7 +428,27 @@ def small_chains(draw, radius=2):
                             draw(st.lists(st.tuples(simplex, coeff), max_size=6)))
 
 
+@st.composite
+def reducible_chains(draw):
+    """Internal-form chains whose content ``Chain.__init__`` may reduce."""
+    model = draw(st.sampled_from([F2, Z2, Cyclic(7)]))
+    degree = draw(st.integers(0, 3))
+    simplex = st.tuples(*[st.sampled_from(model.ball(2))] * degree)
+    numer = draw(st.dictionaries(simplex, st.integers(-5, 5).filter(bool),
+                                 max_size=8))
+    content = draw(st.integers(1, 6))
+    return Chain(model, degree, content * draw(st.integers(1, 4)),
+                 {s: content * a for s, a in numer.items()})
+
+
 class TestNormProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(reducible_chains())
+    def test_supplied_diameters_give_the_generic_profile(self, chain):
+        copy = Chain(chain.model, chain.degree, chain._denom, dict(chain._numer))
+        diameters = [chain.model.diameter(s) for s in chain._numer]
+        assert _weight_profile(chain, diameters) == _weight_profile(copy)
+
     @settings(max_examples=200, deadline=None)
     @given(small_chains(), st.sampled_from([0, 1, 2]),
            st.sampled_from([1, 2, 3, INF]))

@@ -96,6 +96,14 @@ class TestLevels:
         assert len(widths) == 1 + 4 + 16 + 64
         assert "markers" not in {f.name for f in fields(LevelData)}
 
+    def test_top_level_is_never_sorted(self):
+        # shortlex words are derived only where markers need them
+        construction = VanishingConstruction()
+        construction.decay_table(3, [(0, 3)])
+        assert "words" in vars(construction.level(3))
+        assert "words" not in vars(construction.level(4))
+        assert [f.name for f in fields(LevelData)] == ["level", "signs"]
+
     def test_word_length_growth(self, construction):
         for d in range(7):
             bound = 1 + sum(4 * j - 2 for j in range(1, d + 1))
@@ -255,9 +263,9 @@ class TestDirectChains:
 
         monkeypatch.setattr(FreeGroup, "validate", validate)
         VanishingConstruction().decay_table(4, [(0, 3)])
-        # the 1,364 words of levels 1..5 (level 0 is the literal α) and the
-        # generator edge [e, α]; building the chains from terms made 2,729
-        assert len(calls) == 1365
+        # the 1,364 words of levels 1..5 (level 0 is the literal α);
+        # building the chains from terms made 2,729
+        assert len(calls) == 1364
 
     def test_chunk_needs_the_next_level(self):
         small = VanishingConstruction(max_level=2)
@@ -270,7 +278,7 @@ class TestCollisionGuards:
     def test_forged_duplicate_detected(self):
         # a LevelData with the wrong cardinality must refuse to exist
         with pytest.raises(CollisionDetected):
-            LevelData(1, (w(1, 2),) * 4, {})
+            LevelData(1, {w(1, 2): 1})
 
     def test_forged_non_positive_child_validated(self, monkeypatch):
         # a suffix with an inverse letter makes the tip α·α⁻¹ at level 1,
