@@ -5,7 +5,10 @@ finite direct products of these.  Every model is equipped with the standard
 symmetric generating set of its kind (basis letters and their inverses for
 free and free abelian groups, ``{+1, -1 mod m}`` for cyclic groups, the union
 of embedded factor generators for products); word lengths, distances and
-simplex diameters are always taken with respect to that set.
+simplex diameters are always taken with respect to that set.  Each model may
+define its own ``distance`` (by default ``word_length(g⁻¹h)``; a free group
+reads it off a common prefix), and ``diameters`` maps it over pairs of vertex
+columns, ``diameter`` over the vertex pairs of one simplex.
 
 Elements are plain hashable values in a canonical form unique per group
 element:
@@ -38,7 +41,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from math import comb
+from operator import sub
 from typing import Callable, Iterable, Iterator
 
 from .errors import EnumerationTooLarge
@@ -108,17 +113,29 @@ class GroupModel:
 
     def diameter(self, vertices: tuple) -> int:
         """Max pairwise word distance among the identity and ``vertices``."""
-        length, ldiv = self.word_length, self._left_divide
+        length, dist = self.word_length, self.distance
         best = 0
         for i, g in enumerate(vertices):
             n = length(g)
             if n > best:
                 best = n
             for h in vertices[i + 1:]:
-                n = length(ldiv(g, h))
+                n = dist(g, h)
                 if n > best:
                     best = n
         return best
+
+    def diameters(self, simplices, degree: int) -> Iterator[int]:
+        """The :meth:`diameter` of each of ``simplices`` (``degree``-vertex
+        tuples), in order, one vertex column at a time: ``word_length`` over
+        each column and ``distance`` over each pair of columns."""
+        if degree == 0:
+            return (0 for _ in simplices)
+        columns = list(zip(*simplices)) or [()] * degree
+        length, dist = self.word_length, self.distance
+        parts = [map(length, column) for column in columns]
+        parts += [map(dist, g, h) for g, h in combinations(columns, 2)]
+        return map(max, *parts) if degree > 1 else parts[0]
 
     # -- enumeration -----------------------------------------------------
 
@@ -263,8 +280,21 @@ class FreeGroup(GroupModel):
             return h[len(g):]
         return self.multiply(self.inverse(g), h)
 
-    def word_length(self, g) -> int:
-        return len(g)
+    word_length = staticmethod(len)
+
+    def distance(self, g, h) -> int:
+        # g = p·u and h = p·v with p their common prefix: g⁻¹h = u⁻¹v is
+        # reduced, since u and v start with different letters
+        if h.startswith(g):
+            return len(h) - len(g)
+        if g.startswith(h):
+            return len(g) - len(h)
+        prefix = 0
+        for a, b in zip(g, h):
+            if a != b:
+                break
+            prefix += 1
+        return len(g) + len(h) - 2 * prefix
 
     def validate(self, g) -> None:
         if not isinstance(g, bytes):
@@ -363,13 +393,16 @@ class FreeAbelian(GroupModel):
         return tuple(b - a for a, b in zip(g, h))
 
     def word_length(self, g) -> int:
-        return sum(abs(a) for a in g)
+        return sum(map(abs, g))
+
+    def distance(self, g, h) -> int:
+        return sum(map(abs, map(sub, h, g)))
 
     def validate(self, g) -> None:
         if (
             not isinstance(g, tuple)
             or len(g) != self.rank
-            or not all(isinstance(a, int) for a in g)
+            or not all(type(a) is int for a in g)  # bool is no component
         ):
             raise ValueError(f"bad element {g!r} for {self.describe()}")
 
@@ -450,7 +483,7 @@ class Cyclic(GroupModel):
         return min(g, self.modulus - g)
 
     def validate(self, g) -> None:
-        if not isinstance(g, int) or not 0 <= g < self.modulus:
+        if type(g) is not int or not 0 <= g < self.modulus:  # nor bool
             raise ValueError(f"bad residue {g!r} for {self.describe()}")
 
     def generator_word(self, g):

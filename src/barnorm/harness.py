@@ -72,6 +72,12 @@ def random_chain(model, spec: RandomChainSpec, rng: random.Random,
     if spec.degree == 0 and spec.support:  # only the all-identity ``()``
         raise ValueError(f"degree 0 has no simplex to draw "
                          f"({spec.support} requested)")
+    available = model.ball_size(spec.radius) ** spec.degree - 1
+    if available < spec.support:  # not even with every draw accepted
+        raise ValueError(
+            f"cannot draw {spec.support} distinct simplices: degree "
+            f"{spec.degree} over ball({spec.radius}) of {model.describe()} "
+            f"has only {available} besides the all-identity one")
     ball = model.ball(spec.radius, cap)
     identity = model.identity
     diam = model.diameter

@@ -13,9 +13,9 @@ seminorms — the Fréchet family adds the boundary norm to separate points).
 Coefficients stay exact rationals until a norm value is needed.  A chain's
 norms read its weight profile ``{(|a|, diam): count}`` over its integer
 numerators ``a`` (common denominator ``D``), built once and kept on the chain:
-from one ``diameter`` call per simplex at the chain's first norm, or from
-the diameters a builder that knows them passes in support order right after
-construction (the F₂ construction does).
+from the model's ``diameters`` over the support, a vertex column at a time,
+at the chain's first norm, or from the diameters a builder that knows them
+passes in support order right after construction (the F₂ construction does).
 Every lp value here — chain norms and fibered families alike — comes from
 one evaluator over ``(|a|, w, count)`` terms, ``w = diam^n``, in three regimes:
 
@@ -152,7 +152,7 @@ def _weight_profile(chain: Chain, diameters: Optional[Iterable] = None) -> dict:
     if chain._profile is None:
         numer = chain._numer
         if diameters is None:
-            diameters = map(chain.model.diameter, numer)
+            diameters = chain.model.diameters(numer, chain.degree)
         chain._profile = Counter(zip(map(abs, numer.values()), diameters))
     return chain._profile
 

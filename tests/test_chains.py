@@ -293,6 +293,16 @@ class TestSerialization:
             assert back == c
             assert chain_to_records(back) == records
 
+    def test_bool_vertices_rejected_so_records_round_trip(self):
+        # a bool component would serialize as "True" and fail to parse back
+        for model, vertex, canonical in ((Z2, (True, 0), (1, 0)),
+                                         (Z5, True, 1)):
+            with pytest.raises(ValueError, match="bad"):
+                Chain.from_terms(model, 1, [((vertex,), Fraction(1, 2))])
+            c = Chain.from_terms(model, 1, [((canonical,), Fraction(1, 2))])
+            records = json.loads(json.dumps(chain_to_records(c)))
+            assert chain_from_records(model, records) == c
+
     @settings(max_examples=40, deadline=None)
     @given(desc=st.sampled_from([
         "product:[free:2,cyclic:3]",

@@ -164,13 +164,30 @@ class TestDistanceAndDiameter:
         assert F2.diameter((w(1), w(1, 2))) == 2
         for model in (F2, Z2, Z5):
             assert model.diameter((model.identity,) * 3) == 0
-        # random simplices of degree <= 4 on ball(2), against BFS distances
+        # random simplices of degree <= 4 on ball(2), against BFS distances;
+        # diameters takes the same simplices a degree at a time
         for model, dist, ball, rng in diameter_cases():
+            by_degree = {degree: [] for degree in range(5)}
             for _ in range(200):
                 degree = rng.randrange(5)
                 verts = tuple(rng.choice(ball) for _ in range(degree))
-                assert model.diameter(verts) == \
-                    bfs_diameter(model, dist, (model.identity, *verts))
+                expected = bfs_diameter(model, dist, (model.identity, *verts))
+                assert model.diameter(verts) == expected
+                by_degree[degree].append((verts, expected))
+            for degree, cases in by_degree.items():
+                simplices = [verts for verts, _ in cases]
+                assert list(model.diameters(simplices, degree)) == \
+                    [expected for _, expected in cases]
+                assert list(model.diameters([], degree)) == []
+
+    @pytest.mark.parametrize("model", [F2, Z2, Z7, DirectProduct([F2, Z5])])
+    def test_distance_is_length_of_left_quotient(self, model):
+        # ball(3) holds prefix pairs, equal words and the identity
+        ball = model.ball(3)
+        for g in ball:
+            for h in ball:
+                assert model.distance(g, h) == \
+                    model.word_length(model._left_divide(g, h))
 
     def test_diameter_translation_invariant(self):
         # {x, x·g1, …, x·gk} has the diameter of {e, g1, …, gk}
@@ -275,6 +292,16 @@ class TestSerialization:
         assert Z2.element_to_str((1, -2)) == "1,-2"
         assert Z2.element_from_str("1,-2") == (1, -2)
         assert Z5.element_from_str("4") == 4
+
+    def test_bool_components_rejected(self):
+        # True == 1 hashes alike but serializes as "True", which the
+        # parsers cannot read back
+        for model, g in ((Z2, (True, 0)), (Z2, (0, False)), (Z5, True),
+                         (parse_model("product:[free:1,cyclic:3]"), (b"", True))):
+            with pytest.raises(ValueError, match="bad"):
+                model.validate(g)
+        Z2.validate((1, 0))
+        Z5.validate(1)
 
     def test_product_elements(self):
         model = parse_model("product:[free:2,cyclic:3]")

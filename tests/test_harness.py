@@ -95,6 +95,20 @@ class TestRandomChains:
         with pytest.raises(ValueError):
             random_chain(F2, spec, random.Random(0))
 
+    @pytest.mark.parametrize("degree,available", [(1, 4), (2, 24)])
+    def test_too_few_simplices_fail_before_drawing(self, degree, available):
+        # ball(8) of cyclic:5 is the whole group: 5**degree tuples, one of
+        # them all-identity; neither the ball (beyond a cap of 1) nor the
+        # rng is touched
+        model = parse_model("cyclic:5")
+        spec = RandomChainSpec(degree=degree, support=available + 1, radius=8)
+        with pytest.raises(ValueError, match=(
+                rf"cannot draw {available + 1} distinct simplices: degree "
+                rf"{degree} over ball\(8\) of cyclic:5 has only {available} ")):
+            random_chain(model, spec, None, cap=1)
+        spec = RandomChainSpec(degree=degree, support=available, radius=8)
+        assert len(random_chain(model, spec, random.Random(0))) == available
+
 
 class TestExampleHomomorphisms:
     def test_registry(self):
@@ -250,6 +264,15 @@ class TestCli:
                         "--outdir", str(tmp_path / "out"))
         assert code == 2
         assert "error: degree 0 has no simplex to draw" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_impossible_draw_fails_at_once(self, tmp_path, capsys):
+        code = self.run("compare-pq", "--model", "cyclic:5", "--q", "inf",
+                        "--trials", "2", "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert ("error: cannot draw 10 distinct simplices: degree 1 over "
+                "ball(8) of cyclic:5 has only 4 besides the all-identity one"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_cap_error_is_reported(self, tmp_path, capsys):

@@ -120,10 +120,14 @@ class TestWeightedNorm:
 
     def test_second_norm_computes_no_diameter(self, monkeypatch):
         model = FreeGroup(2)
-        calls = []
-        diameter = model.diameter
-        monkeypatch.setattr(model, "diameter",
-                            lambda s: calls.append(s) or diameter(s))
+        calls = []  # every simplex handed to model.diameters
+        diameters = model.diameters
+
+        def spy(simplices, degree):
+            calls.extend(simplices)
+            return diameters(simplices, degree)
+
+        monkeypatch.setattr(model, "diameters", spy)
         grid = [(n, p) for n in range(4) for p in (1, 1.5, 2, INF)]
         for n, p in grid:
             c, = chains_for(model, 2, 1, seed=n, radius=2, support=8)

@@ -313,11 +313,17 @@ class TestStructuralProfiles:
     def test_decay_table_calls_no_diameter(self, monkeypatch):
         calls = []
         original = GroupModel.diameter
+        original_columns = GroupModel.diameters
 
         def diameter(self, vertices):
             calls.append(vertices)
             return original(self, vertices)
 
+        def diameters(self, simplices, degree):
+            calls.extend(simplices)
+            return original_columns(self, simplices, degree)
+
         monkeypatch.setattr(GroupModel, "diameter", diameter)
+        monkeypatch.setattr(GroupModel, "diameters", diameters)
         VanishingConstruction().decay_table(5, [(1, 3)])
         assert calls == []
