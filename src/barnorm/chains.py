@@ -243,17 +243,23 @@ def _accumulate(out: dict, pairs) -> None:
             size += 1
 
 
-def boundary(chain: Chain) -> Chain:
-    """Alternating face sum with the 0th face re-based at the identity."""
+def boundary(chain: Chain, *, onto: Optional[Chain] = None) -> Chain:
+    """Alternating face sum with the 0th face re-based at the identity; with
+    ``onto``, ``onto + ∂chain`` (raising as ``+`` does), the faces added into a
+    rescaled copy of ``onto``'s numerators: no ``∂chain``, ``onto`` unchanged."""
     degree = chain.degree
     if degree == 0:
         raise ValueError("boundary is undefined in degree 0")
     model = chain.model
-    if degree == 1:
-        # both faces of [e, g] re-base to the empty tuple and cancel
-        return Chain.zero(model, 0)
+    base = Chain.zero(model, degree - 1)
+    if onto is not None:
+        onto._check_compatible(base)
+        base = onto
     ldiv = model._left_divide
-    items = chain._numer.items()
+    denom = lcm(chain._denom, base._denom)
+    scale, factor = denom // base._denom, denom // chain._denom
+    items = chain._numer.items() if factor == 1 else (
+        (simplex, num * factor) for simplex, num in chain._numer.items())
 
     def faces():
         if degree == 2:
@@ -276,9 +282,9 @@ def boundary(chain: Chain) -> Chain:
                     value = -value
                     yield simplex[: j - 1] + simplex[j:], value
 
-    out: dict[tuple, int] = {}
+    out = {s: n * scale for s, n in base._numer.items()}
     _accumulate(out, faces())
-    return Chain(model, degree - 1, chain._denom, out)
+    return Chain(model, degree - 1, denom, out)
 
 
 @dataclass(frozen=True)

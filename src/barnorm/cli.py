@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_non_negative_int, default=20)
     p.add_argument("--radius", type=partial(_int_at_least, 1), default=2)
     p.add_argument("--support", type=_non_negative_int, default=3)
-    p.add_argument("--max-diameter", type=_non_negative_int, default=None)
+    p.add_argument("--max-diameter", type=partial(_int_at_least, 1), default=None)
     p.add_argument("--chain", type=Path, default=None,
                    help="verify one chain from a JSON record file instead")
     p.add_argument("--emit-chain", type=Path, default=None,

@@ -43,7 +43,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import sub
+from operator import add, neg, sub
 from typing import Callable, Iterable, Iterator
 
 from .errors import EnumerationTooLarge
@@ -384,13 +384,13 @@ class FreeAbelian(GroupModel):
         self.positive_generators = tuple(gens[::2])
 
     def multiply(self, g, h):
-        return tuple(a + b for a, b in zip(g, h))
+        return tuple(map(add, g, h))
 
     def inverse(self, g):
-        return tuple(-a for a in g)
+        return tuple(map(neg, g))
 
     def _left_divide(self, g, h):
-        return tuple(b - a for a, b in zip(g, h))
+        return tuple(map(sub, h, g))
 
     def word_length(self, g) -> int:
         return sum(map(abs, g))

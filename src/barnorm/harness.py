@@ -60,8 +60,9 @@ class RandomChainSpec:
     def __post_init__(self):
         if self.degree < 0 or self.support < 0 or self.radius < 0:
             raise ValueError("degree, support and radius must be >= 0")
-        if self.radius == 0 and self.support and self.degree:
-            raise ValueError("radius 0 leaves only the all-identity simplex")
+        for name in ("radius", "max_diameter"):
+            if getattr(self, name) == 0 and self.support and self.degree:
+                raise ValueError(f"{name} 0 leaves only the all-identity simplex")
         if self.numerator_max < 1 or self.denominator_max < 1:
             raise ValueError("coefficient ranges must be >= 1")
 

@@ -157,11 +157,10 @@ def _weight_profile(chain: Chain, diameters: Optional[Iterable] = None) -> dict:
     return chain._profile
 
 
-def _weighted_terms(chain: Chain, n: int) -> list:
+def _weighted_terms(profile: dict, n: int) -> list:
     """``(|a|, diam^n, count)`` per profile entry (``0 ** 0 == 1``)."""
     if n < 0:
         raise ValueError(f"weight degree n must be >= 0, got {n}")
-    profile = _weight_profile(chain)
     return [(a, d**n, count) for (a, d), count in profile.items()]
 
 
@@ -169,12 +168,17 @@ def weighted_power_sum(chain: Chain, n: int, p: int) -> Fraction:
     """Exact value of Σ |a_g|^p · diam(g)^n for an integer exponent p."""
     if p < 1:
         raise ValueError("integer exponent must be >= 1")
-    return _power_sum(_weighted_terms(chain, n), chain._denom, p)
+    return _power_sum(_weighted_terms(_weight_profile(chain), n), chain._denom, p)
+
+
+def _profile_norm(profile: dict, denom: int, n: int, p) -> float:
+    """The (n, p)-weighted norm of a weight ``profile`` over ``denom``."""
+    return _lp(_weighted_terms(profile, n), denom, p)
 
 
 def weighted_norm(chain: Chain, n: int, p) -> float:
     """The (n, p)-weighted norm of ``chain`` as a float."""
-    return _lp(_weighted_terms(chain, n), chain._denom, p)
+    return _profile_norm(_weight_profile(chain), chain._denom, n, p)
 
 
 def frechet_seminorm(chain: Chain, n: int, p) -> float:

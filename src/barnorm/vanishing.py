@@ -34,15 +34,16 @@ one gets exactly ``∂b(D) = [e,α] − Σ_{y in level D+1} ε(y)/2^{D+1}·[e,y]
 The children are the cone tips (a chunk reads them back from the next level)
 and their parts past ``x``, so chunks and edge sums are built directly as ``±1``
 numerators over ``2^{d+1}`` and ``2^d``, with the weight profiles positive words
-give (``diam(x, x·m·s) = |x·m·s|``, ``diam(y) = |y|``).  The identity is checked
-key by key against the edge sum, whose norms are the tail's: the tail is its
-negative.  The tail norm at weight degree 0 decays iff p > 2, which the decay
-table makes observable: level-D increments have ``2·4^D`` distinct simplices
-of equal |coefficient| ``1/2^{D+1}``.
+give (``diam(x, x·m·s) = |x·m·s|``, ``diam(y) = |y|``).  Chunk faces add onto
+``∂b(d−1)``; the identity is checked key by key against level d+1's signs, whose
+word lengths give the tail's profile ``{(1, |y|): count}``.  The tail norm at
+weight degree 0 decays iff p > 2 (the decay table shows it: level-D increments
+have ``2·4^D`` distinct simplices of equal |coefficient| ``1/2^{D+1}``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -50,7 +51,8 @@ from typing import Iterable, Iterator, Optional
 from .chains import Chain, boundary
 from .errors import CollisionDetected
 from .groups import FreeGroup
-from .norms import INF, _weight_profile, leq_with_slack, weighted_norm
+from .norms import (INF, _profile_norm, _weight_profile, leq_with_slack,
+                    weighted_norm)
 
 ALPHA, BETA = FreeGroup(2).positive_generators
 _MARKER_DIGITS = bytes.maketrans(b"01", ALPHA + BETA)
@@ -184,13 +186,12 @@ class VanishingConstruction:
         return bd - Chain.single(self.model, (ALPHA,))
 
     def _telescope(self, top_level: int) -> Iterator[tuple]:
-        """Yield ``(d, chunk(d), b(d), ∂b(d), edge_sum(d+1))``, d = 0..top_level.
+        """Yield ``(d, chunk(d), b(d), ∂b(d), tail profile)``, d = 0..top_level.
 
-        The boundary is accumulated as ``∂b(d) = ∂b(d−1) + ∂chunk(d)``, so
-        every chunk's boundary and every ``edge_sum(d+1)`` is built once.
-        At each level the support of ``b(d)`` must count ``2·Σ 4^i``
-        (``CollisionDetected`` otherwise) and the telescoping identity must
-        hold exactly (``AssertionError`` otherwise).
+        ``∂b(d)`` is ``∂b(d−1)`` with ``chunk(d)``'s faces added.  At each level
+        the support of ``b(d)`` must count ``2·Σ 4^i`` (``CollisionDetected``
+        otherwise) and the telescoping identity must hold exactly against
+        level ``d + 1``'s signs (``AssertionError`` otherwise).
         """
         if top_level < 0:
             raise ValueError("top level must be >= 0")
@@ -206,20 +207,21 @@ class VanishingConstruction:
                     f"partial sum through level {d} has support "
                     f"{len(total)}, expected {expected}"
                 )
-            bd = bd + boundary(chunk)
-            yield d, chunk, total, bd, self._checked_edges(d, bd)
+            bd = boundary(chunk, onto=bd)
+            yield d, chunk, total, bd, self._checked_tail(d, bd)
 
-    def _checked_edges(self, d: int, bd: Chain) -> Chain:
-        """``edge_sum(d+1)``, once ``∂b(d) == [e,α] − edge_sum(d+1)`` (canonical
-        over the edges' denominator) is asserted key by key."""
-        edges = self.edge_sum(d + 1)
-        numer, denom, expected = bd._numer, bd._denom, edges._numer
-        if not (denom == edges._denom and (ALPHA,) not in expected
-                and len(numer) == len(expected) + 1
+    def _checked_tail(self, d: int, bd: Chain) -> Counter:
+        """The tail's profile ``{(1, |y|): count}`` from level ``d + 1``'s word
+        lengths, once ``∂b(d) == [e,α] − Σ_{y in level d+1} ε(y)/2^{d+1}·[e,y]``
+        (over ``2^{d+1}``) is asserted key by key against that level's signs."""
+        signs = self.level(d + 1).signs
+        numer, denom = bd._numer, bd._denom
+        if not (denom == 2 ** (d + 1) and ALPHA not in signs
+                and len(numer) == len(signs) + 1
                 and numer.get((ALPHA,)) == denom
-                and all(numer.get(k) == -a for k, a in expected.items())):
+                and all(numer.get((y,)) == -a for y, a in signs.items())):
             raise AssertionError(f"telescoping identity failed at level {d}")
-        return edges
+        return Counter(zip(map(abs, signs.values()), map(len, signs)))
 
     # -- decay reporting ------------------------------------------------------
 
@@ -229,7 +231,8 @@ class VanishingConstruction:
 
         The table is built on one telescoping pass through ``max_level``,
         so it asserts the exact identity at every level 0..max_level and
-        raises ``AssertionError`` at the first level where it fails.  Each
+        raises ``AssertionError`` at the first level where it fails; tail
+        norms come from the tail's word lengths (no edge sum).  Each
         row checks the realized increment norm against the counted
         support envelope ``(support · max|coeff|^p · max diam^n)^{1/p}``,
         which is an unconditional upper bound; for p > 2 the rows record
@@ -240,7 +243,7 @@ class VanishingConstruction:
         norm_params = list(norm_params)
         # per norm pair: increment norms, tail norms, envelopes by level
         columns = [([], [], []) for _ in norm_params]
-        for d, chunk, _, _, edges in self._telescope(max_level):
+        for d, chunk, _, bd, tail_profile in self._telescope(max_level):
             if d == 0:
                 continue
             profile = _weight_profile(chunk)
@@ -261,20 +264,14 @@ class VanishingConstruction:
                         f"{envelope} at level {d}, (n,p)=({n},{p})"
                     )
                 increments.append(inc)
-                tails.append(weighted_norm(edges, n, p))  # the tail's negative
+                tails.append(_profile_norm(tail_profile, bd._denom, n, p))
                 envelopes.append(envelope)
-            del edges  # not kept alive into the next level
         rows: list[DecayRow] = []
         for (n, p), (increments, tails, envelopes) in zip(norm_params, columns):
             decreasing_from = _strictly_decreasing_from(increments)
-            for i, d in enumerate(range(1, max_level + 1)):
-                rows.append(DecayRow(
-                    level=d, n=n, p=float(p),
-                    increment_norm=increments[i],
-                    tail_norm=tails[i],
-                    envelope=envelopes[i],
-                    decreasing_from=decreasing_from,
-                ))
+            rows += (DecayRow(d, n, float(p), inc, tail, envelope, decreasing_from)
+                     for d, inc, tail, envelope in zip(
+                         range(1, max_level + 1), increments, tails, envelopes))
         return rows
 
 

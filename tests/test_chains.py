@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -177,6 +178,40 @@ class TestBoundary:
             bd = boundary(c)
             assert has_no_zero(bd)
             assert boundary(bd).is_zero()
+
+    @settings(max_examples=80, deadline=None)
+    @given(model_radius=st.sampled_from([(F2, 2), (Z2, 2), (Z7, 3),
+                                         (F2xZ5, 1)]),
+           degree=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+           denom=st.integers(1, 12))
+    def test_onto_adds_the_boundary(self, model_radius, degree, seed, denom):
+        model, radius = model_radius
+        rng = random.Random(seed)
+        c = random_chain(model, degree, 6, radius, rng)
+        bd = boundary(c)
+        # some faces of ∂c cancel exactly; the rest of ``a`` sits over
+        # another denominator
+        cancelled = [(s, -coeff) for s, coeff in bd.terms()
+                     if rng.random() < 0.5]
+        others = random_chain(model, degree - 1, 4, radius, rng)
+        a = (Chain.from_terms(model, degree - 1, cancelled)
+             + others.scale(Fraction(1, denom)))
+        before = (a._denom, dict(a._numer))
+        result = boundary(c, onto=a)
+        assert result == a + bd
+        assert has_no_zero(result)
+        assert (a._denom, dict(a._numer)) == before
+
+    def test_onto_must_fit_as_for_a_sum(self):
+        c = Chain.single(F2, (w(1), w(1, 2)))
+        for onto in (Chain.single(F2, (w(1), w(2))),   # degree 2, not 1
+                     Chain.single(Z2, ((1, 0),))):     # another model
+            with pytest.raises(ValueError) as by_sum:
+                onto + boundary(c)
+            with pytest.raises(ValueError, match=re.escape(str(by_sum.value))):
+                boundary(c, onto=onto)
+        point = Chain.single(F2, (), Fraction(2, 3))
+        assert boundary(Chain.single(F2, (w(1),)), onto=point) == point
 
     def test_linearity(self):
         rng = random.Random(17)

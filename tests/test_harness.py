@@ -37,6 +37,20 @@ def count_calls(monkeypatch, cls, name):
     return calls
 
 
+def flip_one_sign(monkeypatch, level):
+    """Build ``level`` with the sign of its first child word flipped."""
+    original = VanishingConstruction._build_next
+
+    def build_next(self):
+        original(self)
+        signs = self._levels[-1].signs
+        if len(self._levels) == level + 1:
+            first = next(iter(signs))
+            signs[first] = -signs[first]
+
+    monkeypatch.setattr(VanishingConstruction, "_build_next", build_next)
+
+
 class TestRandomChains:
     def test_deterministic(self):
         spec = RandomChainSpec(degree=2, support=6, radius=3)
@@ -79,6 +93,13 @@ class TestRandomChains:
         with pytest.raises(ValueError, match="radius 0"):
             RandomChainSpec(degree=1, support=3, radius=0)
         spec = RandomChainSpec(degree=1, support=0, radius=0)
+        assert random_chain(F2, spec, random.Random(0)).is_zero()
+
+    def test_max_diameter_zero_rejected_when_drawing(self):
+        # every simplex but the all-identity one has diameter >= 1
+        with pytest.raises(ValueError, match="max_diameter 0"):
+            RandomChainSpec(degree=1, support=3, radius=2, max_diameter=0)
+        spec = RandomChainSpec(degree=1, support=0, radius=2, max_diameter=0)
         assert random_chain(F2, spec, random.Random(0)).is_zero()
 
     def test_degree_zero_rejected_before_drawing(self):
@@ -361,7 +382,9 @@ class TestCli:
         ("diffuse", "--N", "1", 2),
         ("diffuse", "--degree", "-1", 0),
         ("diffuse", "--ratio-m", "-1", 0),
-        ("diffuse", "--max-diameter", "-1", 0),
+        # every non-identity simplex has diameter >= 1
+        ("diffuse", "--max-diameter", "-1", 1),
+        ("diffuse", "--max-diameter", "0", 1),
         # the radius-0 ball holds only the identity, so no draw succeeds
         *((command, "--radius", "0", 1)
           for command in ("norms", "compare-pq", "pushforward", "diffuse")),
@@ -426,25 +449,20 @@ class TestCli:
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_f2_builds_each_edge_sum_once(self, tmp_path, monkeypatch):
+    def test_f2_builds_no_edge_sum(self, tmp_path, monkeypatch):
         edge_sums = count_calls(monkeypatch, VanishingConstruction, "edge_sum")
         code = self.run("f2-vanish", "--levels", "4", "--norms", "0:3,0:2",
                         "--outdir", str(tmp_path))
         assert code == 0
-        # the telescoping identity at levels 0..4 needs edge sums 1..5
-        assert sorted(edge_sums) == [(d,) for d in range(1, 6)]
+        # the identity at levels 0..4 is checked against the sign tables of
+        # levels 1..5, and the tail norms come from their word lengths
+        assert edge_sums == []
 
     @pytest.mark.parametrize("broken_level", [0, 2])
     def test_f2_telescoping_failure_is_one_violation(
             self, tmp_path, monkeypatch, broken_level):
-        original = VanishingConstruction.edge_sum
-
-        def edge_sum(self, d):
-            chain = original(self, d)
-            # the identity at level D compares against edge_sum(D + 1)
-            return chain.scale(2) if d == broken_level + 1 else chain
-
-        monkeypatch.setattr(VanishingConstruction, "edge_sum", edge_sum)
+        # the identity at level D is checked against level D + 1's signs
+        flip_one_sign(monkeypatch, broken_level + 1)
         code = self.run("f2-vanish", "--levels", "4", "--norms", "0:3",
                         "--outdir", str(tmp_path))
         assert code == 1
@@ -454,9 +472,7 @@ class TestCli:
         assert not any(line.endswith(",true") for line in decay)
 
     def test_f2_level_zero_checks_the_identity(self, tmp_path, monkeypatch):
-        original = VanishingConstruction.edge_sum
-        monkeypatch.setattr(VanishingConstruction, "edge_sum",
-                            lambda self, d: original(self, d).scale(2))
+        flip_one_sign(monkeypatch, 1)
         code = self.run("f2-vanish", "--levels", "0", "--outdir", str(tmp_path))
         assert code == 1
         summary = json.loads((tmp_path / "f2-levels_summary.json").read_text())

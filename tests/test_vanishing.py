@@ -194,6 +194,19 @@ class TestTelescoping:
         expected = Fraction(1, 2 ** (top + 1))
         assert all(abs(v) == expected for _, v in tail.terms())
 
+    @pytest.mark.parametrize("top", range(6))
+    def test_running_boundary_matches_the_generic_one(self, construction, top):
+        # the telescope adds each chunk's faces onto the running ∂b; the
+        # generic boundary of the whole partial sum must agree with it
+        assert (boundary(construction.partial_sum(top))
+                == construction.boundary_tail(top)
+                + Chain.single(construction.model, (ALPHA,)))
+
+    @pytest.mark.parametrize("top", [0, 3])
+    def test_tail_is_the_next_edge_sum(self, construction, top):
+        assert (construction.boundary_tail(top)
+                == -construction.edge_sum(top + 1))
+
 
 class TestDecay:
     def test_closed_forms_at_weight_zero(self, construction):
