@@ -27,15 +27,15 @@ explicit command-line flags win.  Each value is checked like the same flag,
 as the text of its JSON number or string (a list is rejected); null keeps
 the option's default.  A config file that is missing or unreadable, is not
 valid JSON, or does not hold a JSON object, and a key that names no option
-of any command, are rejected with exit status 2 before anything runs.  The environment variable ``BARNORM_ENUM_CAP`` overrides the
-default enumeration cap; a value that is not an integer is rejected the same
-way.  The cap (``--cap``, or that default) bounds the ball of every chain
-draw (norms, compare-pq, pushforward, diffuse, all), the annuli of diffuse
-and the kernel-control balls of pushforward and all; a command that would
-exceed it exits with status 2 and writes nothing.  Exponent options below 1,
-negative counts, degrees or levels, ``--radius`` (the radius-0 ball holds
-no draw) and ``--r-max`` below 1 and ``--N`` below 2 are usage errors naming
-the option.
+of any command, are rejected with exit status 2 before anything runs.
+``BARNORM_ENUM_CAP`` overrides the default enumeration cap (an integer >= 1,
+or it is rejected the same way).  The cap (``--cap``, or that default) bounds
+the ball of every chain draw, the annuli of diffuse, the kernel-control balls
+of pushforward and all, and the ``4**(levels + 1)`` words of the top F2 level
+of f2-vanish and all; a command that would exceed it exits with status 2 and
+writes nothing.  A ``--cap``, ``--radius`` (the radius-0 ball holds no draw)
+or ``--r-max`` below 1, exponent options below 1, negative counts, degrees or
+levels and ``--N`` below 2 are usage errors naming the option.
 """
 
 from __future__ import annotations
@@ -129,10 +129,9 @@ def _default_cap() -> int:
     if not env:
         return DEFAULT_ENUM_CAP
     try:
-        return int(env)
-    except ValueError:
-        raise ValueError(
-            f"BARNORM_ENUM_CAP must be an integer, got {env!r}") from None
+        return _int_at_least(1, env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"BARNORM_ENUM_CAP: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--outdir", type=Path, default=Path("reports"))
-        p.add_argument("--cap", type=int, default=_default_cap(),
+        p.add_argument("--cap", type=partial(_int_at_least, 1),
+                       default=_default_cap(),
                        help="enumeration element cap")
 
     p = sub.add_parser("growth", help="sphere/ball counts and the growth constant")
@@ -260,7 +260,7 @@ def _run_suite(args) -> dict:
             )
         return results
     if cmd == "f2-vanish":
-        return harness.run_f2(args.levels, args.norms)
+        return harness.run_f2(args.levels, args.norms, args.cap)
     if cmd == "all":
         return harness.run_all(args.seed, args.cap)
     raise AssertionError(f"unhandled command {cmd}")

@@ -33,7 +33,7 @@ asymptotic estimates are proved.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from math import inf, lcm
 
@@ -271,59 +271,6 @@ class DiffusionOperator:
                 accumulate(zip(points_f, *fts), multiple * scale_f)
         return Chain(model, degree, chain._denom * common, out)
 
-    # -- diagnostics -----------------------------------------------------------
-
-    def check_accumulation(self, chain: Chain) -> "AccumulationReport":
-        """Exhaustively check, over the coned support of ``chain``, that
-
-        * cones sharing a face that retains the cone point and the identity
-          vertex have equal cone point and equal source diameter, and
-        * every coned simplex has diameter at most ``2 * r**N`` for the
-          source diameter ``r``.
-
-        Returns a report listing violations (expected: none).
-        """
-        if chain.model != self.model:
-            raise ValueError("chain does not live over the operator's model")
-        model = self.model
-        mul = model.multiply
-        diam = model.diameter
-        n_deg = self.config.degree
-        violations: list[str] = []
-        buckets: dict[tuple, tuple] = {}
-        faces_checked = 0
-        diam_checked = 0
-        for s in chain._numer:
-            k = len(s)
-            if k == 0:
-                continue
-            r = diam(s)
-            phi_r = 2 * r**n_deg
-            for y in self.annulus(r):  # y = z⁻¹ runs over Z as z does
-                coned = (y,) + tuple(mul(y, v) for v in s)
-                diam_checked += 1
-                if diam(coned) > phi_r:
-                    violations.append(
-                        f"coned simplex over {s!r} has diameter "
-                        f"{diam(coned)} > {phi_r}"
-                    )
-                for j in range(1, k + 1):
-                    face = coned[:j] + coned[j + 1 :]
-                    faces_checked += 1
-                    seen = buckets.get(face)
-                    if seen is None:
-                        buckets[face] = (y, r)
-                    elif seen != (y, r):
-                        violations.append(
-                            f"face {face!r} reached from re-based cone points "
-                            f"{seen} and {(y, r)}"
-                        )
-        return AccumulationReport(
-            faces_checked=faces_checked,
-            simplices_checked=diam_checked,
-            violations=violations,
-        )
-
     def estimate_report(self, chain: Chain, n: int, p, q,
                         ratio_exponent: int) -> "DiffusionReport":
         """One diffusion trial on ``chain``, each operator applied once.
@@ -374,17 +321,6 @@ class DiffusionOperator:
             homotopy_exact=homotopy_exact,
             cone=coned,
         )
-
-
-@dataclass(frozen=True)
-class AccumulationReport:
-    faces_checked: int
-    simplices_checked: int
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclass(frozen=True)

@@ -308,8 +308,10 @@ F2_DECAY_SCHEMA = (
 )
 
 
-def run_f2(levels: int, norm_params: Iterable[tuple[int, float]]) -> dict:
-    construction = VanishingConstruction(max_level=levels + 1)
+def run_f2(levels: int, norm_params: Iterable[tuple[int, float]],
+           cap: int = DEFAULT_ENUM_CAP) -> dict:
+    construction = VanishingConstruction(cap)
+    construction.level(levels + 1)  # over the cap, fails before any build
     level_rows = []
     for d in range(levels + 1):
         data = construction.level(d)
@@ -369,5 +371,5 @@ def run_all(seed: int, cap: int = DEFAULT_ENUM_CAP) -> dict:
                       cap=cap)[0]
           for model_desc, degree in (
               ("free:2", 1), ("free:2", 2), ("abelian:2", 2))),
-        run_f2(4, [(0, 3), (0, 2)]),
+        run_f2(4, [(0, 3), (0, 2)], cap),
     )

@@ -38,7 +38,9 @@ give (``diam(x, x·m·s) = |x·m·s|``, ``diam(y) = |y|``).  Chunk faces add ont
 ``∂b(d−1)``; the identity is checked key by key against level d+1's signs, whose
 word lengths give the tail's profile ``{(1, |y|): count}``.  The tail norm at
 weight degree 0 decays iff p > 2 (the decay table shows it: level-D increments
-have ``2·4^D`` distinct simplices of equal |coefficient| ``1/2^{D+1}``).
+have ``2·4^D`` distinct simplices of equal |coefficient| ``1/2^{D+1}``); only
+``partial_sum`` adds the chunks up to ``b(D)``.  A level whose ``4**d`` words
+exceed the enumeration cap raises ``EnumerationTooLarge`` before it is built.
 """
 
 from __future__ import annotations
@@ -49,15 +51,13 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .chains import Chain, boundary
-from .errors import CollisionDetected
-from .groups import FreeGroup
+from .errors import CollisionDetected, EnumerationTooLarge
+from .groups import DEFAULT_ENUM_CAP, FreeGroup
 from .norms import (INF, _profile_norm, _weight_profile, leq_with_slack,
                     weighted_norm)
 
 ALPHA, BETA = FreeGroup(2).positive_generators
 _MARKER_DIGITS = bytes.maketrans(b"01", ALPHA + BETA)
-
-DEFAULT_MAX_LEVEL = 9  # level d holds 2 * 4**d fresh 2-simplices
 
 
 def suffix_pair(d: int) -> tuple[bytes, bytes]:
@@ -102,18 +102,17 @@ class LevelData:
 
 
 class VanishingConstruction:
-    """Builds levels lazily and exposes the partial sums and their decay."""
+    """Builds levels lazily within the cap; exposes partial sums and decay."""
 
-    def __init__(self, max_level: int = DEFAULT_MAX_LEVEL):
+    def __init__(self, cap: int = DEFAULT_ENUM_CAP):
         self.model = FreeGroup(2)
-        self.max_level = max_level
+        self.cap = cap
         self._levels = [LevelData(0, {ALPHA: 1})]
 
     def level(self, d: int) -> LevelData:
-        if d > self.max_level:
-            raise ValueError(
-                f"level {d} exceeds the configured cap {self.max_level}"
-            )
+        if 2 * d >= self.cap.bit_length():  # 4**d > cap, with no huge power
+            raise EnumerationTooLarge(f"F2 level {d}",
+                                      4**d if d < 1000 else INF, self.cap)
         while len(self._levels) <= d:
             self._build_next()
         return self._levels[d]
@@ -162,10 +161,17 @@ class VanishingConstruction:
         return chunk
 
     def partial_sum(self, top_level: int) -> Chain:
-        """b(D): the weighted sum of all chunks through ``top_level``, taken
-        from the telescoping pass (so every level's checks run)."""
-        for _, _, total, _, _ in self._telescope(top_level):
-            pass
+        """b(D): the sum of the chunks of the telescoping pass through
+        ``top_level`` (so every level's checks run), whose support must count
+        ``2·Σ 4^d`` (``CollisionDetected`` otherwise)."""
+        total, expected = Chain.zero(self.model, 2), 0
+        for d, chunk, _, _ in self._telescope(top_level):
+            total, expected = total + chunk, expected + 2 * 4**d
+        if len(total) != expected:
+            raise CollisionDetected(
+                f"partial sum through level {top_level} has support "
+                f"{len(total)}, expected {expected}"
+            )
         return total
 
     def edge_sum(self, d: int) -> Chain:
@@ -181,34 +187,24 @@ class VanishingConstruction:
 
             ∂b(D) = [e,α] − Σ_{y in level D+1} ε(y)/2^{D+1} · [e,y].
         """
-        for _, _, _, bd, _ in self._telescope(top_level):
+        for _, _, bd, _ in self._telescope(top_level):
             pass
         return bd - Chain.single(self.model, (ALPHA,))
 
     def _telescope(self, top_level: int) -> Iterator[tuple]:
-        """Yield ``(d, chunk(d), b(d), ∂b(d), tail profile)``, d = 0..top_level.
+        """Yield ``(d, chunk(d), ∂b(d), tail profile)``, d = 0..top_level.
 
-        ``∂b(d)`` is ``∂b(d−1)`` with ``chunk(d)``'s faces added.  At each level
-        the support of ``b(d)`` must count ``2·Σ 4^i`` (``CollisionDetected``
-        otherwise) and the telescoping identity must hold exactly against
-        level ``d + 1``'s signs (``AssertionError`` otherwise).
+        ``∂b(d)`` is ``∂b(d−1)`` with ``chunk(d)``'s faces added, and the
+        telescoping identity must hold exactly against level ``d + 1``'s signs
+        (``AssertionError`` otherwise).  No ``b(d)`` is built.
         """
         if top_level < 0:
             raise ValueError("top level must be >= 0")
-        total = Chain.zero(self.model, 2)
         bd = Chain.zero(self.model, 1)
-        expected = 0
         for d in range(top_level + 1):
             chunk = self.level_chunk(d)
-            total = total + chunk
-            expected += 2 * 4**d
-            if len(total) != expected:
-                raise CollisionDetected(
-                    f"partial sum through level {d} has support "
-                    f"{len(total)}, expected {expected}"
-                )
             bd = boundary(chunk, onto=bd)
-            yield d, chunk, total, bd, self._checked_tail(d, bd)
+            yield d, chunk, bd, self._checked_tail(d, bd)
 
     def _checked_tail(self, d: int, bd: Chain) -> Counter:
         """The tail's profile ``{(1, |y|): count}`` from level ``d + 1``'s word
@@ -225,14 +221,15 @@ class VanishingConstruction:
 
     # -- decay reporting ------------------------------------------------------
 
-    def decay_table(self, max_level: int,
+    def decay_table(self, top_level: int,
                     norm_params: Iterable[tuple[int, float]]) -> list["DecayRow"]:
-        """Increment and tail norms for levels 1..max_level.
+        """Increment and tail norms for levels 1..top_level.
 
-        The table is built on one telescoping pass through ``max_level``,
-        so it asserts the exact identity at every level 0..max_level and
-        raises ``AssertionError`` at the first level where it fails; tail
-        norms come from the tail's word lengths (no edge sum).  Each
+        The table is built on one telescoping pass through ``top_level``,
+        so it asserts the exact identity at every level 0..top_level and
+        raises ``AssertionError`` at the first level where it fails.
+        Increments come from single chunks (``level_chunk`` counts each
+        support) and tail norms from word lengths, so no sum is built.  Each
         row checks the realized increment norm against the counted
         support envelope ``(support · max|coeff|^p · max diam^n)^{1/p}``,
         which is an unconditional upper bound; for p > 2 the rows record
@@ -243,7 +240,7 @@ class VanishingConstruction:
         norm_params = list(norm_params)
         # per norm pair: increment norms, tail norms, envelopes by level
         columns = [([], [], []) for _ in norm_params]
-        for d, chunk, _, bd, tail_profile in self._telescope(max_level):
+        for d, chunk, bd, tail_profile in self._telescope(top_level):
             if d == 0:
                 continue
             profile = _weight_profile(chunk)
@@ -271,7 +268,7 @@ class VanishingConstruction:
             decreasing_from = _strictly_decreasing_from(increments)
             rows += (DecayRow(d, n, float(p), inc, tail, envelope, decreasing_from)
                      for d, inc, tail, envelope in zip(
-                         range(1, max_level + 1), increments, tails, envelopes))
+                         range(1, top_level + 1), increments, tails, envelopes))
         return rows
 
 

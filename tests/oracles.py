@@ -1,6 +1,6 @@
 """Independent test oracles: plain breadth-first search on Cayley graphs,
-a tuple-word free group, a term-by-term norm evaluator and a term-by-term
-cone.
+a tuple-word free group, a term-by-term norm evaluator, a term-by-term
+cone and an exhaustive check of the cone's accumulation control.
 
 The BFS multiplies by generators only and never consults the model's
 word-length or sphere code, so it is a genuinely independent check of the
@@ -126,3 +126,22 @@ def reference_cone(operator, chain):
             coned = (zi,) + tuple(model.multiply(zi, v) for v in s)
             terms.append((coned, a / len(annulus)))
     return Chain.from_terms(model, chain.degree + 1, terms)
+
+
+def accumulation_check(operator, chain):
+    """``(simplices checked, violations)`` over the re-based cones ``(y, y·g1,
+    …)`` of ``chain``, ``y`` in the annulus of the source diameter ``r``: each
+    has diameter <= ``2·r^N``; each face keeping ``y`` fixes ``y`` and ``r``."""
+    model, seen, checked, violations = chain.model, {}, 0, []
+    for s in chain.support():
+        r = model.diameter(s)
+        for y in operator.annulus(r):
+            coned = (y,) + tuple(model.multiply(y, v) for v in s)
+            checked += 1
+            if model.diameter(coned) > 2 * r**operator.config.degree:
+                violations.append(coned)
+            for j in range(1, len(coned)):
+                face = coned[:j] + coned[j + 1:]
+                if seen.setdefault(face, (y, r)) != (y, r):
+                    violations.append(face)
+    return checked, violations

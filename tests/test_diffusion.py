@@ -11,7 +11,7 @@ from barnorm.errors import EmptyAnnulus, EnumerationTooLarge
 from barnorm.groups import Cyclic, FreeAbelian, FreeGroup, parse_model
 from barnorm.harness import RandomChainSpec, random_chain
 from barnorm.norms import weighted_norm
-from oracles import reference_cone
+from oracles import accumulation_check, reference_cone
 
 F2 = FreeGroup(2)
 Z2 = FreeAbelian(2)
@@ -306,19 +306,19 @@ class TestChainMap:
 
 class TestAccumulation:
     def test_single_simplex(self):
-        report = operator().check_accumulation(Chain.single(F2, (A, w(1, 2))))
-        assert report.ok and report.simplices_checked == len(operator().annulus(2))
+        op = operator()
+        assert accumulation_check(op, Chain.single(F2, (A, w(1, 2)))) == \
+            (len(op.annulus(2)), [])
 
     def test_exhaustive_small_ball(self):
         op = operator()
         ball = [g for g in F2.ball(2) if g != E]
         edges = Chain.from_terms(F2, 1, [((g,), 1) for g in ball])
-        report = op.check_accumulation(edges)
-        assert report.ok and not report.violations
+        assert accumulation_check(op, edges)[1] == []
         pairs = [(g, h) for g in ball for h in ball
                  if F2.diameter((g, h)) <= 2][:60]
         triangles = Chain.from_terms(F2, 2, [(s, 1) for s in pairs])
-        assert op.check_accumulation(triangles).ok
+        assert accumulation_check(op, triangles)[1] == []
 
     def test_lattice_random_chains(self):
         op = operator(model=Z2)
@@ -327,7 +327,7 @@ class TestAccumulation:
                                max_diameter=3)
         for _ in range(3):
             c = random_chain(Z2, spec, rng)
-            assert op.check_accumulation(c).ok
+            assert accumulation_check(op, c)[1] == []
 
     def test_diameter_bound_is_two_r_to_the_n(self):
         op = operator()

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from barnorm import cli, harness
-from barnorm.chains import boundary, chain_from_records
+from barnorm.chains import Chain, boundary, chain_from_records
 from barnorm.diffusion import DiffusionOperator
 from barnorm.errors import CollisionDetected
 from barnorm.groups import FreeGroup, parse_model
@@ -296,6 +296,20 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, top", [
+        (("f2-vanish", "--levels", "3"), 4), (("all",), 5)],
+        ids=["f2-vanish", "all"])
+    def test_f2_levels_within_the_cap(self, tmp_path, capsys, monkeypatch,
+                                      command, top):
+        # the top level, the cone tips of the last one, is refused unbuilt
+        builds = count_calls(monkeypatch, VanishingConstruction, "_build_next")
+        out, words = str(tmp_path / "out"), 4**top
+        assert self.run(*command, "--cap", str(words - 1), "--outdir", out) == 2
+        assert (f"F2 level {top}: predicted size {words} exceeds cap "
+                f"{words - 1}" in capsys.readouterr().err)
+        assert builds == [] and not (tmp_path / "out").exists()
+        assert self.run(*command, "--cap", str(words), "--outdir", out) == 0
+
     def test_cap_error_is_reported(self, tmp_path, capsys):
         code = self.run("diffuse", "--model", "free:2", "--N", "3",
                         "--degree", "1", "--radius", "3", "--max-diameter",
@@ -389,6 +403,9 @@ class TestCli:
         *((command, "--radius", "0", 1)
           for command in ("norms", "compare-pq", "pushforward", "diffuse")),
         ("diffuse", "--radius", "-1", 1),
+        ("growth", "--cap", "-1", 1),
+        *((command, "--cap", "0", 1)
+          for command in ("growth", "diffuse", "f2-vanish", "all")),
     ])
     def test_int_below_its_bound_names_option(self, tmp_path, capsys, command,
                                               option, value, low):
@@ -451,12 +468,14 @@ class TestCli:
 
     def test_f2_builds_no_edge_sum(self, tmp_path, monkeypatch):
         edge_sums = count_calls(monkeypatch, VanishingConstruction, "edge_sum")
+        sums = count_calls(monkeypatch, Chain, "__add__")
         code = self.run("f2-vanish", "--levels", "4", "--norms", "0:3,0:2",
                         "--outdir", str(tmp_path))
         assert code == 0
         # the identity at levels 0..4 is checked against the sign tables of
-        # levels 1..5, and the tail norms come from their word lengths
-        assert edge_sums == []
+        # levels 1..5, and the tail norms come from their word lengths;
+        # decay_table(4) reads single chunks, so no partial sum is added up
+        assert edge_sums == [] and sums == []
 
     @pytest.mark.parametrize("broken_level", [0, 2])
     def test_f2_telescoping_failure_is_one_violation(
@@ -509,11 +528,11 @@ class TestCli:
 
     def test_malformed_cap_environment_rejected(self, tmp_path, capsys,
                                                 monkeypatch):
-        monkeypatch.setenv("BARNORM_ENUM_CAP", "abc")
-        code = self.run("growth", "--outdir", str(tmp_path / "out"))
-        assert code == 2
-        assert "BARNORM_ENUM_CAP" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for value in ("abc", "0"):
+            monkeypatch.setenv("BARNORM_ENUM_CAP", value)
+            assert self.run("growth", "--outdir", str(tmp_path / "out")) == 2
+            assert "BARNORM_ENUM_CAP: invalid" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_all_reproducible(self, tmp_path):
         for sub in ("one", "two"):

@@ -5,7 +5,7 @@ import pytest
 
 from barnorm import vanishing
 from barnorm.chains import Chain, boundary
-from barnorm.errors import CollisionDetected
+from barnorm.errors import CollisionDetected, EnumerationTooLarge
 from barnorm.groups import FreeGroup, GroupModel
 from barnorm.harness import run_f2
 from barnorm.norms import INF, _weight_profile, weighted_norm, weighted_power_sum
@@ -111,9 +111,15 @@ class TestLevels:
             assert realized <= bound == 2 * d * d + 1
 
     def test_level_cap(self):
-        small = VanishingConstruction(max_level=2)
-        with pytest.raises(ValueError):
+        small = VanishingConstruction(cap=16)
+        with pytest.raises(EnumerationTooLarge, match="F2 level 3: "
+                           "predicted size 64 exceeds cap 16"):
             small.level(3)
+        assert len(small._levels) == 1  # refused before anything was built
+        assert len(small.level(2).signs) == 16
+        with pytest.raises(EnumerationTooLarge) as info:
+            VanishingConstruction().level(10**8)  # 4**(10**8) is not computed
+        assert info.value.bound == INF
 
 
 class TestConeSimplices:
@@ -281,9 +287,9 @@ class TestDirectChains:
         assert len(calls) == 1364
 
     def test_chunk_needs_the_next_level(self):
-        small = VanishingConstruction(max_level=2)
+        small = VanishingConstruction(cap=16)
         assert len(small.level_chunk(1)) == 8
-        with pytest.raises(ValueError):
+        with pytest.raises(EnumerationTooLarge, match="F2 level 3"):
             small.level_chunk(2)
 
 
@@ -292,6 +298,22 @@ class TestCollisionGuards:
         # a LevelData with the wrong cardinality must refuse to exist
         with pytest.raises(CollisionDetected):
             LevelData(1, {w(1, 2): 1})
+
+    def test_forged_cross_level_collision_detected(self, monkeypatch):
+        # a 2-cycle through chunk(0)'s simplices, added to chunk(1), leaves
+        # every ∂b(d) and so every telescoping check as it was
+        original = VanishingConstruction.level_chunk
+
+        def level_chunk(self, d):
+            (_, tip_s), (_, tip_t) = self.cone_simplices(ALPHA, 0)
+            cycle = boundary(Chain.single(self.model, (ALPHA, tip_s, tip_t)))
+            return original(self, d) + cycle.scale(Fraction(d == 1, 4))
+
+        monkeypatch.setattr(VanishingConstruction, "level_chunk", level_chunk)
+        construction = VanishingConstruction()
+        construction.boundary_tail(2)
+        with pytest.raises(CollisionDetected, match="support 44, expected 42"):
+            construction.partial_sum(2)
 
     def test_forged_non_positive_child_validated(self, monkeypatch):
         # a suffix with an inverse letter makes the tip α·α⁻¹ at level 1,
