@@ -246,7 +246,8 @@ def _accumulate(out: dict, pairs) -> None:
 def boundary(chain: Chain, *, onto: Optional[Chain] = None) -> Chain:
     """Alternating face sum with the 0th face re-based at the identity; with
     ``onto``, ``onto + ∂chain`` (raising as ``+`` does), the faces added into a
-    rescaled copy of ``onto``'s numerators: no ``∂chain``, ``onto`` unchanged."""
+    rescaled copy of ``onto``'s numerators: no ``∂chain``, ``onto`` unchanged
+    and, if the caller passed its only reference, released before the faces."""
     degree = chain.degree
     if degree == 0:
         raise ValueError("boundary is undefined in degree 0")
@@ -283,6 +284,7 @@ def boundary(chain: Chain, *, onto: Optional[Chain] = None) -> Chain:
                     yield simplex[: j - 1] + simplex[j:], value
 
     out = {s: n * scale for s, n in base._numer.items()}
+    onto = base = None
     _accumulate(out, faces())
     return Chain(model, degree - 1, denom, out)
 

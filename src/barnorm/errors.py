@@ -12,6 +12,8 @@ class EnumerationTooLarge(RuntimeError):
         self.what = what
         self.bound = bound
         self.cap = cap
+        if isinstance(bound, int) and bound.bit_length() > 4096:  # unprintable
+            bound = f"over 2**{bound.bit_length() - 1}"
         super().__init__(f"{what}: predicted size {bound} exceeds cap {cap}")
 
 

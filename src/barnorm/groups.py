@@ -325,6 +325,14 @@ class FreeGroup(GroupModel):
             return math.inf
         return 2 * self.rank * base ** (r - 1)
 
+    def ball_size(self, r: int):
+        k = self.rank
+        if k == 1:
+            return 1 + 2 * r
+        if r > _EXACT_COUNT_LIMIT:
+            return math.inf
+        return 1 + k * ((2 * k - 1) ** r - 1) // (k - 1)
+
     def iter_sphere(self, r: int):
         if r == 0:
             yield b""

@@ -311,7 +311,7 @@ F2_DECAY_SCHEMA = (
 def run_f2(levels: int, norm_params: Iterable[tuple[int, float]],
            cap: int = DEFAULT_ENUM_CAP) -> dict:
     construction = VanishingConstruction(cap)
-    construction.level(levels + 1)  # over the cap, fails before any build
+    construction.check_level(levels + 1)  # the top tips: fails before any build
     level_rows = []
     for d in range(levels + 1):
         data = construction.level(d)

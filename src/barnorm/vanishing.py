@@ -1,46 +1,34 @@
 """The explicit rank-2 free group 2-chain whose boundary is a generator edge.
 
-Writing ``α, β`` for the free generators, the construction maintains per
-level ``d`` a set of ``4**d`` distinct positive words (the *level words*),
-together with an injective *marker* word of length ``2d`` per level word and
-a sign in ``{+1, −1}``.  Level 0 is ``{α}`` with the empty marker and sign
-``+1``.  A word ``x`` at level ``d`` spawns four children at level ``d+1``
-via the suffix pair ``s = α^{d+1} β^{d+1}``, ``t = β^{d+1} α^{d+1}``:
+Writing ``α, β`` for the free generators, level ``d`` holds ``4**d`` distinct
+positive words, each with a sign ``ε`` in ``{+1, −1}`` and an injective
+*marker* of length ``2d``: the base-2 expansion of its shortlex index (α for
+digit 0, β for digit 1).  Level 0 is ``{α}`` with sign ``+1``.  A word ``x``
+at level ``d`` spawns four children at level ``d+1`` via the suffix pair
+``s = α^{d+1} β^{d+1}``, ``t = β^{d+1} α^{d+1}``:
 
     x·m(x)·s  (sign of x),      m(x)·s  (opposite sign),
     x·m(x)·t  (sign of x),      m(x)·t  (opposite sign).
 
-All words consist of non-negative generator powers, so no cancellation can
-occur; distinctness of all children within a level is asserted at build time
-rather than assumed, and each child is validated there, once.  Markers are
-canonical: the level's words in shortlex order receive the base-2 expansions
-of their index (α for digit 0, β for digit 1), left-padded to length ``2d``
-— determinism makes every derived norm value reproducible.  A level stores
-one table, word ↦ sign, in build order: per parent word (in its level's
-build order) the tips ``x·m·s``, ``x·m·t``, then their parts past ``x``.
-Its shortlex words and markers are derived on first read, so the top level
-built (which nothing cones) is never sorted and never has markers.
-
-Each level word ``x`` at level ``d`` carries two 2-simplices
+One generator yields them in that order, parent by parent; a stored level is
+its table word ↦ sign, checked distinct and positive (so nothing cancels).
+Each level word ``x`` carries two 2-simplices
 
     s(x) = [e, x, x·m(x)·s_{d+1}],    t(x) = [e, x, x·m(x)·t_{d+1}],
 
-whose boundary contributes ``2[e,x]`` plus the four child edges with the
-signs arranged so that the level sums telescope: with
+whose boundary is ``2[e,x]`` plus the four child edges, signed so that
 
     b(D) = Σ_{d<=D} Σ_{x in level d} ε(x)/2^{d+1} · (s(x) + t(x))
 
-one gets exactly ``∂b(D) = [e,α] − Σ_{y in level D+1} ε(y)/2^{D+1}·[e,y]``.
-The children are the cone tips (a chunk reads them back from the next level)
-and their parts past ``x``, so chunks and edge sums are built directly as ``±1``
-numerators over ``2^{d+1}`` and ``2^d``, with the weight profiles positive words
-give (``diam(x, x·m·s) = |x·m·s|``, ``diam(y) = |y|``).  Chunk faces add onto
-``∂b(d−1)``; the identity is checked key by key against level d+1's signs, whose
-word lengths give the tail's profile ``{(1, |y|): count}``.  The tail norm at
-weight degree 0 decays iff p > 2 (the decay table shows it: level-D increments
-have ``2·4^D`` distinct simplices of equal |coefficient| ``1/2^{D+1}``); only
-``partial_sum`` adds the chunks up to ``b(D)``.  A level whose ``4**d`` words
-exceed the enumeration cap raises ``EnumerationTooLarge`` before it is built.
+has exactly ``∂b(D) = [e,α] − Σ_{y in level D+1} ε(y)/2^{D+1}·[e,y]``.  A
+chunk (level d's sum) takes its tips and their signs from the generator, so a
+telescope's top level is generated once and never stored.  Chunk faces add
+onto ``∂b(d−1)``, released as they do; the identity is checked against the
+chunk's own simplices, whose lengths (``diam(x, x·m·s) = |x·m·s|``) give the
+chunk's and the tail's weight profiles.  The tail norm at weight degree 0
+decays iff p > 2 (level-D increments have ``2·4^D`` simplices of equal
+|coefficient| ``1/2^{D+1}``).  A level, or a chunk's tips, past the
+enumeration cap raises ``EnumerationTooLarge`` before any build.
 """
 
 from __future__ import annotations
@@ -48,6 +36,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat, tee
+from operator import itemgetter, sub
 from typing import Iterable, Iterator, Optional
 
 from .chains import Chain, boundary
@@ -58,6 +48,8 @@ from .norms import (INF, _profile_norm, _weight_profile, leq_with_slack,
 
 ALPHA, BETA = FreeGroup(2).positive_generators
 _MARKER_DIGITS = bytes.maketrans(b"01", ALPHA + BETA)
+_KEEP, _AB = bytes(range(256)), ALPHA + BETA  # translate(_KEEP, _AB) deletes α, β
+_TIP, _BASE = itemgetter(1), itemgetter(0)  # of a chunk simplex (x, tip)
 
 
 def suffix_pair(d: int) -> tuple[bytes, bytes]:
@@ -72,6 +64,14 @@ def _marker(index: int, width: int) -> bytes:
     if not width:
         return b""
     return format(index, f"0{width}b").encode("ascii").translate(_MARKER_DIGITS)
+
+
+def _check_positive(model: FreeGroup, words: Iterable[bytes]) -> None:
+    """Each word positive, in one C-level pass; ``validate`` names a failure."""
+    words, probe = tee(words)
+    for w in compress(words, map(bytes.translate, probe, repeat(_KEEP), repeat(_AB))):
+        model.validate(w)
+        raise ValueError(f"word {model.element_to_str(w)!r} is not positive")
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,7 @@ class LevelData:
 
     @cached_property
     def markers(self) -> dict:
-        """Word ↦ the base-2 expansion of its shortlex index (an idempotent
-        fill on first read)."""
+        """Word ↦ the base-2 expansion of its shortlex index (filled once)."""
         width = 2 * self.level
         return {w: _marker(i, width) for i, w in enumerate(self.words)}
 
@@ -110,26 +109,35 @@ class VanishingConstruction:
         self._levels = [LevelData(0, {ALPHA: 1})]
 
     def level(self, d: int) -> LevelData:
-        if 2 * d >= self.cap.bit_length():  # 4**d > cap, with no huge power
-            raise EnumerationTooLarge(f"F2 level {d}",
-                                      4**d if d < 1000 else INF, self.cap)
+        self.check_level(d)
         while len(self._levels) <= d:
             self._build_next()
         return self._levels[d]
 
+    def check_level(self, d: int) -> None:
+        """Refuse a negative level, and one whose words exceed the cap."""
+        if d < 0:
+            raise ValueError(f"F2 level must be >= 0, got {d}")
+        if 2 * d >= self.cap.bit_length():  # 4**d > cap, with no huge power
+            raise EnumerationTooLarge(f"F2 level {d}",
+                                      4**d if d < 1000 else INF, self.cap)
+
+    def _children(self, d: int) -> Iterator[tuple[bytes, int]]:
+        """Level ``d + 1``'s ``(word, sign)``: per parent, tips s, t, m·s, m·t."""
+        data = self.level(d)
+        markers = data.markers
+        s_next, t_next = suffix_pair(d + 1)
+        for x, sign in data.signs.items():
+            m_s, m_t = markers[x] + s_next, markers[x] + t_next
+            yield x + m_s, sign
+            yield x + m_t, sign
+            yield m_s, -sign
+            yield m_t, -sign
+
     def _build_next(self) -> None:
         d = len(self._levels)
-        parent = self._levels[d - 1]
-        markers = parent.markers
-        s_next, t_next = suffix_pair(d)
-        # per parent: tip s, tip t, their parts past x (level_chunk relies on it)
-        signs: dict[bytes, int] = {}
-        for x, sign in parent.signs.items():
-            m_s, m_t = markers[x] + s_next, markers[x] + t_next
-            signs[x + m_s] = signs[x + m_t] = sign
-            signs[m_s] = signs[m_t] = -sign
-        for child in signs:
-            self.model.validate(child)
+        signs = dict(self._children(d - 1))
+        _check_positive(self.model, signs)
         self._levels.append(LevelData(d, signs))
 
     # -- simplices and partial sums -----------------------------------------
@@ -143,21 +151,18 @@ class VanishingConstruction:
         return (x, x + m_x + s_next), (x, x + m_x + t_next)
 
     def level_chunk(self, d: int) -> Chain:
-        """Σ_{x in level d} ε(x)/2^{d+1} · (s(x) + t(x)) as an exact chain;
-        its cone tips are read back from level ``d + 1``, built first."""
-        children = iter(self.level(d + 1).signs)
-        data = self.level(d)
+        """Σ_{x in level d} ε(x)/2^{d+1} · (s(x) + t(x)) as an exact chain, its
+        tips and their signs ε(x) from ``_children(d)``: level ``d + 1`` is
+        counted against the cap first and never built."""
+        self.check_level(d + 1)
+        signs = self.level(d).signs
         numer = {}
-        for (x, sign), tip_s, tip_t, _, _ in zip(data.signs.items(),
-                                                 *[children] * 4):
-            numer[x, tip_s] = numer[x, tip_t] = sign
-        if len(numer) != 2 * len(data.signs):
-            raise CollisionDetected(
-                f"level {d}: expected {2 * len(data.signs)} distinct "
-                f"2-simplices, got {len(numer)}"
-            )
+        for x, (tip_s, a_s), (tip_t, a_t), _, _ in zip(signs, *[self._children(d)] * 4):
+            numer[x, tip_s] = a_s
+            numer[x, tip_t] = a_t
+        _check_positive(self.model, map(_TIP, numer))
         chunk = Chain(self.model, 2, 2 ** (d + 1), numer)
-        _weight_profile(chunk, [len(tip) for _, tip in chunk._numer])
+        _weight_profile(chunk, map(len, map(_TIP, numer)))
         return chunk
 
     def partial_sum(self, top_level: int) -> Chain:
@@ -192,32 +197,31 @@ class VanishingConstruction:
         return bd - Chain.single(self.model, (ALPHA,))
 
     def _telescope(self, top_level: int) -> Iterator[tuple]:
-        """Yield ``(d, chunk(d), ∂b(d), tail profile)``, d = 0..top_level.
-
-        ``∂b(d)`` is ``∂b(d−1)`` with ``chunk(d)``'s faces added, and the
-        telescoping identity must hold exactly against level ``d + 1``'s signs
-        (``AssertionError`` otherwise).  No ``b(d)`` is built.
-        """
+        """Yield ``(d, chunk(d), ∂b(d), tail profile)``, d = 0..top_level:
+        ``∂b(d)`` is ``∂b(d−1)``, its only reference released in ``boundary``,
+        plus chunk(d)'s faces, and must satisfy the identity exactly."""
         if top_level < 0:
             raise ValueError("top level must be >= 0")
-        bd = Chain.zero(self.model, 1)
+        running = [Chain.zero(self.model, 1)]  # ∂b(d−1), popped into the call
         for d in range(top_level + 1):
             chunk = self.level_chunk(d)
-            bd = boundary(chunk, onto=bd)
-            yield d, chunk, bd, self._checked_tail(d, bd)
+            running.append(boundary(chunk, onto=running.pop()))
+            yield d, chunk, running[0], self._checked_tail(d, chunk, running[0])
 
-    def _checked_tail(self, d: int, bd: Chain) -> Counter:
-        """The tail's profile ``{(1, |y|): count}`` from level ``d + 1``'s word
-        lengths, once ``∂b(d) == [e,α] − Σ_{y in level d+1} ε(y)/2^{d+1}·[e,y]``
-        (over ``2^{d+1}``) is asserted key by key against that level's signs."""
-        signs = self.level(d + 1).signs
-        numer, denom = bd._numer, bd._denom
-        if not (denom == 2 ** (d + 1) and ALPHA not in signs
-                and len(numer) == len(signs) + 1
-                and numer.get((ALPHA,)) == denom
-                and all(numer.get((y,)) == -a for y, a in signs.items())):
+    def _checked_tail(self, d: int, chunk: Chain, bd: Chain) -> Counter:
+        """The tail's profile, the chunk's plus ``{(|a|, |tip| − |x|): count}``,
+        once the identity is asserted: each ``(x, tip)`` with numerator ``a``
+        leaves ``−a`` at ``tip`` and ``a`` past ``x``, α keeps ``2^{d+1}`` over
+        ``2^{d+1}``, and nothing else remains.  Tips carry their parent's sign,
+        so every ``[e,x]`` cancels and the count proves the children distinct."""
+        get, numer = bd._numer.get, chunk._numer
+        if not (bd._denom == 2 ** (d + 1) and get((ALPHA,)) == bd._denom
+                and len(bd) == 2 * len(numer) + 1
+                and all(get((tip,)) == -a and get((tip[len(x):],)) == a
+                        for (x, tip), a in numer.items())):
             raise AssertionError(f"telescoping identity failed at level {d}")
-        return Counter(zip(map(abs, signs.values()), map(len, signs)))
+        past_x = map(sub, map(len, map(_TIP, numer)), map(len, map(_BASE, numer)))
+        return _weight_profile(chunk) + Counter(zip(map(abs, numer.values()), past_x))
 
     # -- decay reporting ------------------------------------------------------
 
@@ -225,44 +229,38 @@ class VanishingConstruction:
                     norm_params: Iterable[tuple[int, float]]) -> list["DecayRow"]:
         """Increment and tail norms for levels 1..top_level.
 
-        The table is built on one telescoping pass through ``top_level``,
-        so it asserts the exact identity at every level 0..top_level and
-        raises ``AssertionError`` at the first level where it fails.
-        Increments come from single chunks (``level_chunk`` counts each
-        support) and tail norms from word lengths, so no sum is built.  Each
-        row checks the realized increment norm against the counted
-        support envelope ``(support · max|coeff|^p · max diam^n)^{1/p}``,
-        which is an unconditional upper bound; for p > 2 the rows record
-        from which level onward the observed increments strictly decrease
-        (at weight degree 0 that is level 1).  Rows are ordered by norm
-        pair, then by level.
+        One telescoping pass asserts the identity at every level (raising
+        ``AssertionError`` at the first failure); increments come from single
+        chunks and tail norms from their lengths, with no sum built and no
+        chunk or ``∂b`` held past its level.  Each row checks the increment
+        against the support envelope ``(support · max|coeff|^p · max
+        diam^n)^{1/p}``, an upper bound; for p > 2 the rows record from which
+        level on the increments strictly decrease (level 1 at weight degree
+        0).  Rows are ordered by norm pair, then by level.
         """
         norm_params = list(norm_params)
         # per norm pair: increment norms, tail norms, envelopes by level
         columns = [([], [], []) for _ in norm_params]
         for d, chunk, bd, tail_profile in self._telescope(top_level):
-            if d == 0:
-                continue
-            profile = _weight_profile(chunk)
-            max_coeff = max(a for a, _ in profile) / chunk._denom
-            max_diam = max(diam for _, diam in profile)
-            for (n, p), (increments, tails, envelopes) in zip(norm_params,
-                                                               columns):
-                inc = weighted_norm(chunk, n, p)
-                if p == INF:
-                    envelope = max_coeff * max_diam**n
-                else:
-                    envelope = (
+            del bd  # the tail's denominator is chunk(d)'s, 2^{d+1}
+            if d:
+                profile, denom = _weight_profile(chunk), chunk._denom
+                max_coeff = max(a for a, _ in profile) / denom
+                max_diam = max(diam for _, diam in profile)
+                for (n, p), (increments, tails, envelopes) in zip(norm_params, columns):
+                    inc = weighted_norm(chunk, n, p)
+                    envelope = max_coeff * max_diam**n if p == INF else (
                         len(chunk) * max_coeff ** float(p) * max_diam**n
                     ) ** (1 / float(p))
-                if not leq_with_slack(inc, envelope):
-                    raise AssertionError(
-                        f"increment norm {inc} exceeds its support envelope "
-                        f"{envelope} at level {d}, (n,p)=({n},{p})"
-                    )
-                increments.append(inc)
-                tails.append(_profile_norm(tail_profile, bd._denom, n, p))
-                envelopes.append(envelope)
+                    if not leq_with_slack(inc, envelope):
+                        raise AssertionError(
+                            f"increment norm {inc} exceeds its support "
+                            f"envelope {envelope} at level {d}, (n,p)=({n},{p})"
+                        )
+                    increments.append(inc)
+                    tails.append(_profile_norm(tail_profile, denom, n, p))
+                    envelopes.append(envelope)
+            del chunk  # not held while the next level is built
         rows: list[DecayRow] = []
         for (n, p), (increments, tails, envelopes) in zip(norm_params, columns):
             decreasing_from = _strictly_decreasing_from(increments)
@@ -278,9 +276,7 @@ def _strictly_decreasing_from(values: list[float]) -> Optional[int]:
     start = len(values) - 1
     while start > 0 and values[start - 1] > values[start]:
         start -= 1
-    if start == len(values) - 1:
-        return None
-    return start + 1
+    return None if start == len(values) - 1 else start + 1
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ COMMANDS = (
     "growth",
     "compare-pq --q inf --trials 20",
     "f2-vanish --levels 8 --norms 0:3,0:2,1:2.5",
+    "f2-vanish --levels 9 --norms 0:3,0:2,1:2.5",
 )
 DIGESTS = json.loads(
     (Path(__file__).resolve().parent / "golden_digests.json").read_text(

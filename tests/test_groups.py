@@ -234,6 +234,16 @@ class TestSpheresAndBalls:
             assert Z.ball_size(r) == 2 * r + 1
         assert Z7.ball_size(3) == 7 == Z7.ball_size(10)
 
+    @pytest.mark.parametrize("rank", range(1, 5))
+    def test_free_ball_size_is_the_sphere_sum(self, rank):
+        model = FreeGroup(rank)
+        for r in range(61):
+            assert model.ball_size(r) == sum(map(model.sphere_size,
+                                                 range(r + 1)))
+        huge = 10**7  # past the exact-count limit
+        assert model.ball_size(huge) == (2 * huge + 1 if rank == 1
+                                         else math.inf)
+
     def test_cap_guard(self):
         with pytest.raises(EnumerationTooLarge):
             F2.sphere(50)

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,17 +41,18 @@ def count_calls(monkeypatch, cls, name):
 
 
 def flip_one_sign(monkeypatch, level):
-    """Build ``level`` with the sign of its first child word flipped."""
-    original = VanishingConstruction._build_next
+    """Generate ``level`` with the sign of its first child word flipped, both
+    where it is stored and where the chunk below takes its tips."""
+    original = VanishingConstruction._children
 
-    def build_next(self):
-        original(self)
-        signs = self._levels[-1].signs
-        if len(self._levels) == level + 1:
-            first = next(iter(signs))
-            signs[first] = -signs[first]
+    def children(self, d):
+        pairs = original(self, d)
+        if d + 1 == level:
+            word, sign = next(pairs)
+            yield word, -sign
+        yield from pairs
 
-    monkeypatch.setattr(VanishingConstruction, "_build_next", build_next)
+    monkeypatch.setattr(VanishingConstruction, "_children", children)
 
 
 class TestRandomChains:
@@ -310,6 +314,30 @@ class TestCli:
         assert builds == [] and not (tmp_path / "out").exists()
         assert self.run(*command, "--cap", str(words), "--outdir", out) == 0
 
+    def test_f2_over_the_default_cap_builds_nothing(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.delenv("BARNORM_ENUM_CAP", raising=False)
+        builds = count_calls(monkeypatch, VanishingConstruction, "_build_next")
+        code = self.run("f2-vanish", "--levels", "11", "--outdir", str(tmp_path))
+        assert code == 2 and builds == []
+        assert ("F2 level 12: predicted size 16777216 exceeds cap"
+                in capsys.readouterr().err)
+
+    def test_huge_radius_refused_at_once(self, tmp_path):
+        # a free ball's size is one closed form, not a sum over its spheres;
+        # its exact count, 158,498 bits long, is named by its magnitude
+        script = "import sys; from barnorm.cli import main; sys.exit(main())"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, "norms", "--radius", "100000",
+             "--trials", "1", "--outdir", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2
+        assert ("ball(100000) of free:2: predicted size over 2**158497 "
+                "exceeds cap") in done.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_cap_error_is_reported(self, tmp_path, capsys):
         code = self.run("diffuse", "--model", "free:2", "--N", "3",
                         "--degree", "1", "--radius", "3", "--max-diameter",
@@ -480,7 +508,8 @@ class TestCli:
     @pytest.mark.parametrize("broken_level", [0, 2])
     def test_f2_telescoping_failure_is_one_violation(
             self, tmp_path, monkeypatch, broken_level):
-        # the identity at level D is checked against level D + 1's signs
+        # the identity at level D is checked against chunk(D)'s own
+        # simplices, whose tips and signs are level D + 1's first children
         flip_one_sign(monkeypatch, broken_level + 1)
         code = self.run("f2-vanish", "--levels", "4", "--norms", "0:3",
                         "--outdir", str(tmp_path))

@@ -1,9 +1,11 @@
+import gc
+import sys
 from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
-from barnorm import vanishing
+from barnorm import chains, vanishing
 from barnorm.chains import Chain, boundary
 from barnorm.errors import CollisionDetected, EnumerationTooLarge
 from barnorm.groups import FreeGroup, GroupModel
@@ -82,8 +84,8 @@ class TestLevels:
             assert data.markers[x] == _marker(i, 2 * d) == expected
 
     def test_top_level_builds_no_markers(self, monkeypatch):
-        # run_f2(L) builds level L + 1 for the cone tips; nothing cones it,
-        # so only levels 0..L may derive markers, each level once
+        # run_f2(L) generates level L + 1 for the cone tips; nothing cones
+        # it, so only levels 0..L may derive markers, each level once
         widths = []
 
         def marker(index, width):
@@ -121,6 +123,30 @@ class TestLevels:
             VanishingConstruction().level(10**8)  # 4**(10**8) is not computed
         assert info.value.bound == INF
 
+    def test_negative_level_rejected(self):
+        construction = VanishingConstruction()
+        construction.level(3)
+        with pytest.raises(ValueError, match="level must be >= 0, got -1"):
+            construction.level(-1)  # not read from the end of the levels
+
+    @pytest.mark.parametrize("top", [0, 3])
+    @pytest.mark.parametrize("build", [
+        lambda top: run_f2(top, [(0, 3)]),
+        lambda top: VanishingConstruction().decay_table(top, [(0, 3)])],
+        ids=["run_f2", "decay_table"])
+    def test_builds_exactly_the_levels_asked_for(self, monkeypatch, build, top):
+        # the top chunk's tips are generated, so level top + 1 is never built
+        built = []
+        original = VanishingConstruction._build_next
+
+        def build_next(self):
+            original(self)
+            built.append(len(self._levels) - 1)
+
+        monkeypatch.setattr(VanishingConstruction, "_build_next", build_next)
+        build(top)
+        assert built == list(range(1, top + 1))
+
 
 class TestConeSimplices:
     def test_level_zero_pair(self, construction):
@@ -156,6 +182,11 @@ class TestConeSimplices:
     def test_unknown_word_rejected(self, construction):
         with pytest.raises(ValueError):
             construction.cone_simplices(w(2), 0)
+
+    def test_negative_level_rejected(self, construction):
+        construction.level(3)
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            construction.cone_simplices(ALPHA, -1)
 
 
 class TestPartialSums:
@@ -212,6 +243,53 @@ class TestTelescoping:
     def test_tail_is_the_next_edge_sum(self, construction, top):
         assert (construction.boundary_tail(top)
                 == -construction.edge_sum(top + 1))
+
+    @pytest.mark.parametrize("forge", [
+        lambda numer, _: numer.update({next(iter(numer)): -1}),
+        lambda numer, _: numer.pop(list(numer)[1]),
+        lambda numer, below: numer.update({next(iter(below)): 1})],
+        ids=["flipped-sign", "dropped-tip", "foreign-simplex"])
+    def test_forged_top_chunk_fails_the_identity(self, monkeypatch, forge):
+        # the identity is checked against the top chunk's own simplices, so
+        # each forgery leaves an [e,x] uncancelled or a face unmatched
+        top, original = 2, VanishingConstruction.level_chunk
+
+        def level_chunk(self, d):
+            chunk = original(self, d)
+            if d == top:
+                numer = dict(chunk._numer)
+                forge(numer, original(self, d - 1)._numer)
+                chunk = Chain(self.model, 2, chunk._denom, numer)
+            return chunk
+
+        monkeypatch.setattr(VanishingConstruction, "level_chunk", level_chunk)
+        construction = VanishingConstruction()
+        construction.boundary_tail(top - 1)
+        with pytest.raises(AssertionError, match=f"failed at level {top}"):
+            construction.boundary_tail(top)
+
+    def test_no_earlier_level_reachable_while_faces_accumulate(
+            self, monkeypatch):
+        # while chunk(d)'s faces are added, the only chain of the
+        # construction alive is chunk(d): ∂b(d−1) and chunk(d−1) are released
+        # (Python 3.10 keeps a call's arguments, so ∂b(d−1), on the caller's
+        # stack until it returns)
+        kept = sys.version_info < (3, 11)
+        construction = VanishingConstruction()
+        alive = []
+        original = chains._accumulate
+
+        def accumulate(out, pairs):
+            alive.append(sorted(
+                (chain.degree, chain._denom) for chain in gc.get_objects()
+                if isinstance(chain, Chain)
+                and chain.model is construction.model))
+            original(out, pairs)
+
+        monkeypatch.setattr(chains, "_accumulate", accumulate)
+        construction.decay_table(4, [(0, 3), (1, 2.5)])
+        assert alive == [[(1, 2**d)] * kept + [(2, 2 ** (d + 1))]
+                         for d in range(5)]
 
 
 class TestDecay:
@@ -273,24 +351,40 @@ class TestDirectChains:
         assert construction.edge_sum(d) == reference_edge_sum(construction, d)
 
     def test_each_word_validated_once(self, monkeypatch):
-        calls = []
-        original = FreeGroup.validate
+        calls, checked = [], []
+        original, check_positive = FreeGroup.validate, vanishing._check_positive
 
         def validate(self, g):
             calls.append(g)
             return original(self, g)
 
+        def spy(model, words):
+            words = list(words)
+            checked.extend(words)
+            check_positive(model, words)
+
         monkeypatch.setattr(FreeGroup, "validate", validate)
+        monkeypatch.setattr(vanishing, "_check_positive", spy)
         VanishingConstruction().decay_table(4, [(0, 3)])
-        # the 1,364 words of levels 1..5 (level 0 is the literal α);
-        # building the chains from terms made 2,729
-        assert len(calls) == 1364
+        # each stored level once (the 340 words of levels 1..4; level 0 is
+        # the literal α) and each chunk's tips once (682 for levels 0..4),
+        # one C-level pass each: validate only names a failure
+        assert len(checked) == 340 + 682
+        assert len(set(checked)) == 340 + 512  # the top tips are new
+        assert calls == []
 
     def test_chunk_needs_the_next_level(self):
         small = VanishingConstruction(cap=16)
         assert len(small.level_chunk(1)) == 8
         with pytest.raises(EnumerationTooLarge, match="F2 level 3"):
             small.level_chunk(2)
+        assert len(small._levels) == 2  # refused before level 2 was built
+
+    def test_negative_level_rejected(self):
+        construction = VanishingConstruction()
+        construction.level(3)
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            construction.level_chunk(-1)
 
 
 class TestCollisionGuards:
@@ -300,27 +394,52 @@ class TestCollisionGuards:
             LevelData(1, {w(1, 2): 1})
 
     def test_forged_cross_level_collision_detected(self, monkeypatch):
-        # a 2-cycle through chunk(0)'s simplices, added to chunk(1), leaves
-        # every ∂b(d) and so every telescoping check as it was
         original = VanishingConstruction.level_chunk
+        forgery = {}
 
         def level_chunk(self, d):
-            (_, tip_s), (_, tip_t) = self.cone_simplices(ALPHA, 0)
-            cycle = boundary(Chain.single(self.model, (ALPHA, tip_s, tip_t)))
-            return original(self, d) + cycle.scale(Fraction(d == 1, 4))
+            return original(self, d) + forgery.get(d, Chain.zero(self.model, 2))
 
         monkeypatch.setattr(VanishingConstruction, "level_chunk", level_chunk)
         construction = VanishingConstruction()
-        construction.boundary_tail(2)
-        with pytest.raises(CollisionDetected, match="support 44, expected 42"):
-            construction.partial_sum(2)
+        s_a, t_a = construction.cone_simplices(ALPHA, 0)
+        # a 2-cycle through chunk(0)'s simplices, added to chunk(1), leaves
+        # every ∂b(d) as it was, but chunk(1) grows by four simplices
+        cycle = boundary(Chain.single(construction.model, (ALPHA, *s_a[1:],
+                                                           *t_a[1:])))
+        forgery[1] = cycle.scale(Fraction(1, 4))
+        with pytest.raises(AssertionError, match="failed at level 1"):
+            construction.boundary_tail(2)
+        # −s(α)/2 + t(α)/2 in a top chunk(1) passes that check (its faces at
+        # α cancel, and each simplex leaves −a at its tip and a past α), but
+        # it cancels chunk(0)'s s(α) and merges with its t(α)
+        forgery[1] = Chain.from_terms(construction.model, 2, [
+            (s_a, Fraction(-1, 2)), (t_a, Fraction(1, 2))])
+        construction.boundary_tail(1)
+        with pytest.raises(CollisionDetected, match="support 9, expected 10"):
+            construction.partial_sum(1)
+
+    def test_forged_equal_suffixes_fail_the_identity(self, monkeypatch):
+        # s = t gives each word one 2-simplex, so its [e,x] stays uncancelled
+        monkeypatch.setattr(vanishing, "suffix_pair",
+                            lambda d: (ALPHA * d + BETA * d,) * 2)
+        with pytest.raises(AssertionError, match="failed at level 0"):
+            VanishingConstruction().boundary_tail(0)
+        with pytest.raises(CollisionDetected, match="has 2 distinct words"):
+            VanishingConstruction().level(1)
 
     def test_forged_non_positive_child_validated(self, monkeypatch):
         # a suffix with an inverse letter makes the tip α·α⁻¹ at level 1,
-        # which only the full check of validate can reject
+        # which only the full check of validate can reject; α·β⁻¹ is
+        # reduced, so the positivity pass names it
         monkeypatch.setattr(vanishing, "suffix_pair", lambda d: (w(-1), w(-2)))
         with pytest.raises(ValueError, match="not reduced"):
             VanishingConstruction().level(1)
+        monkeypatch.setattr(vanishing, "suffix_pair", lambda d: (w(-2), w(-1)))
+        with pytest.raises(ValueError, match="is not positive"):
+            VanishingConstruction().level(1)
+        with pytest.raises(ValueError, match="is not positive"):
+            VanishingConstruction().level_chunk(0)
 
 
 def recomputed_profile(chain):
