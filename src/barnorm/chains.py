@@ -415,9 +415,12 @@ def kernel_ball_count(hom: GroupHomomorphism, radius: int,
 def kernel_control_constant(hom: GroupHomomorphism, degree: int,
                             r_max: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Empirical kernel-control constant on ``1 <= r <= r_max`` (exact max),
-    counting each source ball within ``cap``."""
-    return _smallest_constant(lambda r: kernel_ball_count(hom, r, cap), degree,
-                              r_max)
+    counting each source ball within ``cap`` and applying ``hom`` once per element."""
+    e, counts = hom.target.identity, [0]
+    balls = [()] + [hom.source.ball(r, cap) for r in range(1, r_max + 1)]
+    for inner, ball in zip(balls, balls[1:]):  # radius-major: apply the new sphere
+        counts.append(counts[-1] + sum(hom.apply(g) == e for g in ball[len(inner):]))
+    return _smallest_constant(counts.__getitem__, degree, r_max)
 
 
 def with_kernel_control(hom: GroupHomomorphism, degree: int,

@@ -28,6 +28,10 @@ carry weight zero in every norm with positive weight degree.
 ``N`` may be any integer >= 2 so that annuli stay enumerable at desk scale;
 reports flag runs with ``N <= 10`` as outside the regime where the
 asymptotic estimates are proved.
+
+One pass (``chain_map(c)``, ``cone(c)``, ``cone(∂c)``) translates each
+annulus by each vertex once: ``chain_map`` swaps in a fresh memo of whole
+translates, which ``cone`` reads (a racing ``cone`` sees one pass's lists).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from math import inf, lcm
 from .chains import Chain, _accumulate, boundary
 from .errors import EmptyAnnulus, EnumerationTooLarge
 from .groups import DEFAULT_ENUM_CAP, GroupModel
-from .norms import _ratio, leq_with_slack, weighted_norm
+from .norms import _ratio, _weight_profile, leq_with_slack, weighted_norm
 
 
 @dataclass(frozen=True)
@@ -66,13 +70,15 @@ class DiffusionOperator:
     """Deterministic diffusion cone operator for one model and one config.
 
     Annuli are memoized per radius behind a lock (read-mostly, single-writer
-    fill); all chain-level operations are pure.
+    fill); all chain-level operations are pure.  The translation memo holds
+    one ``chain_map`` call's ``Z_r·v`` lists; ``cone`` computes, never stores, a miss.
     """
 
     def __init__(self, model: GroupModel, config: AnnuliConfig):
         self.model = model
         self.config = config
         self._annuli: dict[int, tuple] = {}
+        self._translations: dict[tuple, list] = {}
         self._lock = threading.Lock()
 
     # -- annuli ------------------------------------------------------------
@@ -182,13 +188,13 @@ class DiffusionOperator:
         # and equal cone points force equal sources, so cone output keys
         # never collide; the dict can be assembled without accumulation.
         out: dict[tuple, int] = {}
-        mul = model.multiply
+        memo, mul = self._translations, model.multiply
         expected = 0
         for r, (points, scale) in scaled.items():
             expected += len(points) * len(by_radius[r])
             for s, num in by_radius[r]:
-                translated = [map(mul, points, repeat(v)) for v in s]
-                out.update(zip(zip(points, *translated), repeat(num * scale)))
+                moved = [memo.get((r, v)) or map(mul, points, repeat(v)) for v in s]
+                out.update(zip(zip(points, *moved), repeat(num * scale)))
         if len(out) != expected:
             raise AssertionError(
                 "cone outputs collided; the accumulation control is broken"
@@ -212,6 +218,7 @@ class DiffusionOperator:
         if chain.model != self.model:
             raise ValueError("chain does not live over the operator's model")
         degree = chain.degree
+        memo = self._translations = {}
         if chain.is_zero():
             return chain
         if degree == 0:
@@ -254,21 +261,23 @@ class DiffusionOperator:
         out: dict[tuple, int] = {}
         mul = model.multiply
 
-        def accumulate(keys, value):
-            _accumulate(out, zip(keys, repeat(value)))
+        def translate(r, points, v):
+            if (r, v) not in memo:
+                memo[r, v] = list(map(mul, points, repeat(v)))
+            return memo[r, v]
 
         for s, num, r_s, kept_faces, cone_jobs in sources:
             points, scale = scaled[r_s]
             value = num * scale
-            translated = [list(map(mul, points, repeat(v))) for v in s]
-            accumulate(zip(*translated), value)
+            translated = [translate(r_s, points, v) for v in s]
+            _accumulate(out, zip(zip(*translated), repeat(value)))
             for sign, j in kept_faces:
                 kept = translated[:j] + translated[j + 1 :]
-                accumulate(zip(points, *kept), sign * value)
+                _accumulate(out, zip(zip(points, *kept), repeat(sign * value)))
             for face, multiple, r_f in cone_jobs:
                 points_f, scale_f = scaled[r_f]
-                fts = [map(mul, points_f, repeat(v)) for v in face]
-                accumulate(zip(points_f, *fts), multiple * scale_f)
+                fts = [translate(r_f, points_f, v) for v in face]
+                _accumulate(out, zip(zip(points_f, *fts), repeat(multiple * scale_f)))
         return Chain(model, degree, chain._denom * common, out)
 
     def estimate_report(self, chain: Chain, n: int, p, q,
@@ -293,6 +302,9 @@ class DiffusionOperator:
         n_deg = self.config.degree
         fused = self.chain_map(chain)
         coned = self.cone(chain)
+        # |y| >= r for y in Z_r bounds every other distance: diameter = max |vertex|
+        lengths = [map(model.word_length, col) for col in zip(*coned._numer)]
+        _weight_profile(coned, map(max, repeat(0, len(coned)), *lengths))
         d_coned = boundary(coned)
         d_chain = boundary(chain) if chain.degree else Chain.zero(model, 0)
         mapped = chain - d_coned

@@ -25,6 +25,7 @@ from .chains import (
     with_kernel_control,
 )
 from .diffusion import AnnuliConfig, DiffusionOperator
+from .errors import EnumerationTooLarge
 from .groups import DEFAULT_ENUM_CAP, FreeAbelian, FreeGroup, Cyclic, growth_constant, parse_model
 from .norms import (
     INF,
@@ -73,7 +74,10 @@ def random_chain(model, spec: RandomChainSpec, rng: random.Random,
     if spec.degree == 0 and spec.support:  # only the all-identity ``()``
         raise ValueError(f"degree 0 has no simplex to draw "
                          f"({spec.support} requested)")
-    available = model.ball_size(spec.radius) ** spec.degree - 1
+    size = model.ball_size(spec.radius)
+    if size > max(cap, spec.support):  # ball() would refuse it; take no power of it
+        raise EnumerationTooLarge(f"ball({spec.radius}) of {model.describe()}", size, cap)
+    available = size ** spec.degree - 1
     if available < spec.support:  # not even with every draw accepted
         raise ValueError(
             f"cannot draw {spec.support} distinct simplices: degree "
@@ -224,9 +228,9 @@ PUSHFORWARD_SCHEMA = (
 
 
 def run_pushforward(hom_name: str, k: int, n: int, p, trials: int, seed: int,
-                    radius: int = 6, support: int = 8,
-                    cap: int = DEFAULT_ENUM_CAP) -> dict:
-    hom = example_homomorphism(hom_name, cap)
+                    radius: int = 6, support: int = 8, cap: int = DEFAULT_ENUM_CAP,
+                    hom: Optional[GroupHomomorphism] = None) -> dict:
+    hom = hom or example_homomorphism(hom_name, cap)
 
     def check(chain):
         report = verify_pushforward_estimate(hom, chain, n, p)
@@ -363,8 +367,9 @@ def run_all(seed: int, cap: int = DEFAULT_ENUM_CAP) -> dict:
           for model_desc, growth_degree, q in (
               ("abelian:1", 1, 4), ("abelian:1", 1, INF), ("abelian:2", 2, 4))),
         *(run_pushforward(hom_name, k=1, n=1, p=p, trials=10, seed=seed,
-                          radius=6, cap=cap)
+                          radius=6, cap=cap, hom=hom)
           for hom_name in ("abelian2-to-z", "z-to-cyclic5")
+          for hom in (example_homomorphism(hom_name, cap),)
           for p in (1, 2, INF)),
         *(run_diffuse(model_desc, annuli_degree=2, degree=degree, n=1, p=2,
                       q=4, trials=8, seed=seed, radius=2, support=3,

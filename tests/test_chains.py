@@ -308,6 +308,19 @@ class TestHomomorphisms:
         for r in range(1, 13):
             assert kernel_ball_count(red, r) == 2 * (r // 5) + 1
 
+    def test_kernel_certificate_applies_each_element_once(self, monkeypatch):
+        applied = []
+        original = GroupHomomorphism.apply
+
+        def apply(self, g):
+            applied.append(g)
+            return original(self, g)
+
+        monkeypatch.setattr(GroupHomomorphism, "apply", apply)
+        proj = GroupHomomorphism(Z2, Z, [(1,), (0,)])
+        assert kernel_control_constant(proj, 1, 10) == 3
+        assert sorted(applied) == sorted(Z2.ball(10))
+
     def test_kernel_certificates_take_the_cap(self):
         red = GroupHomomorphism(Z, Z5, [1])
         assert kernel_control_constant(red, 1, 2, cap=5) == 1

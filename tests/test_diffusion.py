@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from barnorm import diffusion
 from barnorm.chains import Chain, boundary
 from barnorm.diffusion import AnnuliConfig, DiffusionOperator
 from barnorm.errors import EmptyAnnulus, EnumerationTooLarge
@@ -303,6 +304,147 @@ class TestChainMap:
         c = Chain.single(F2, (A,))  # degree-1 chains are cycles
         assert op.chain_map(c) == c - boundary(op.cone(c))
 
+
+
+def small_chains(model, degrees=(1, 2), seed=71):
+    """Three-simplex chains of diameter <= 2 per degree, from a fixed seed."""
+    rng = random.Random(seed)
+    for degree in degrees:
+        spec = RandomChainSpec(degree=degree, support=3, radius=2,
+                               max_diameter=2)
+        for _ in range(4):
+            yield random_chain(model, spec, rng)
+
+
+def count_multiplies(monkeypatch, model):
+    """A list that grows by one per ``model.multiply`` call (still run)."""
+    calls = []
+    original = model.multiply
+
+    def multiply(g, h):
+        calls.append(None)
+        return original(g, h)
+
+    monkeypatch.setattr(model, "multiply", multiply)
+    return calls
+
+
+class TestTranslationMemo:
+    @pytest.mark.parametrize("model", [FreeGroup(2), FreeAbelian(2)],
+                             ids=lambda m: m.describe())
+    def test_cones_after_the_map_multiply_nothing(self, model, monkeypatch):
+        # one pass makes each annulus·vertex product once: the cones of
+        # c and ∂c read every translate the map has just made
+        for c in small_chains(model):
+            op = operator(model=model)
+            d_c = boundary(c)
+            calls = count_multiplies(monkeypatch, model)
+            op.chain_map(c)
+            by_map = len(calls)
+            coned, coned_d = op.cone(c), op.cone(d_c)
+            assert len(calls) == by_map
+            monkeypatch.undo()
+            assert coned == reference_cone(op, c)
+            assert coned_d == reference_cone(op, d_c)
+
+    def test_cone_alone_stores_nothing(self):
+        op = operator()
+        for c in small_chains(F2):
+            assert op.cone(c) == reference_cone(op, c)
+        assert op._translations == {}
+
+    def test_memo_holds_the_last_map_only(self):
+        op, fresh = operator(), operator()
+        c1, c2 = list(small_chains(F2, degrees=(2,)))[:2]
+        op.chain_map(c1)
+        assert op._translations
+        op.chain_map(c2)
+        fresh.chain_map(c2)
+        assert op._translations.keys() == fresh._translations.keys()
+        op.chain_map(Chain.zero(F2, 2))
+        assert op._translations == {}
+
+    def test_cone_during_chain_map(self, monkeypatch):
+        # a cone racing a map reads only whole translates: model.multiply
+        # blocks the mapping thread once its memo holds a first entry
+        model = FreeGroup(2)
+        op = operator(model=model)
+        for r in range(3):
+            op.annulus(r)
+        c = Chain.single(model, (w(1, 2), w(2)), Fraction(1, 3))
+        expected = reference_cone(op, c)
+        filling, release = threading.Event(), threading.Event()
+        mapper = threading.Thread(target=op.chain_map, args=(c,))
+        original = model.multiply
+
+        def multiply(g, h):
+            if threading.current_thread() is mapper and op._translations:
+                filling.set()
+                release.wait(10)
+            return original(g, h)
+
+        monkeypatch.setattr(model, "multiply", multiply)
+        mapper.start()
+        try:
+            while mapper.is_alive() and not filling.wait(0.01):
+                pass
+            coned = op.cone(c)
+        finally:
+            release.set()
+            mapper.join(10)
+        assert filling.is_set() and not mapper.is_alive()
+        assert coned == expected
+
+
+def spy_passed_diameters(mp):
+    """``(passed, model.diameters)`` per diameter list handed to the norms'
+    ``_weight_profile`` from ``diffusion`` (the profile still reads it)."""
+    seen = []
+    original = diffusion._weight_profile
+
+    def spy(chain, diameters=None):
+        if diameters is not None:
+            diameters = list(diameters)
+            seen.append((diameters, list(
+                chain.model.diameters(chain._numer, chain.degree))))
+        return original(chain, diameters)
+
+    mp.setattr(diffusion, "_weight_profile", spy)
+    return seen
+
+
+class TestConeDiameters:
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.describe())
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_vertex_lengths_are_the_diameters(self, model, data):
+        # the cone's profile reads its simplices' largest vertex lengths;
+        # they must be the diameters, degenerate and r = 0 simplices included
+        n_deg = data.draw(st.sampled_from((2, 3)), label="N")
+        degree = data.draw(st.integers(0, 2), label="degree")
+        radius = 2 if n_deg == 2 else 1
+        ball = model.ball(radius)
+        simplex = st.tuples(*[st.sampled_from(ball)] * degree).filter(
+            lambda s: model.diameter(s) <= radius)
+        coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        terms = data.draw(st.lists(st.tuples(simplex, coeff), max_size=3),
+                          label="terms")
+        c = Chain.from_terms(model, degree, terms)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = spy_passed_diameters(mp)
+            report = operator(model=model, degree=n_deg).estimate_report(
+                c, 1, 2, 4, ratio_exponent=2)
+        [(passed, expected)] = seen
+        assert passed == expected
+        assert len(passed) == len(report.cone)
+
+    def test_degree_zero_and_empty_sources(self, monkeypatch):
+        # a degree-0 source gives one vertex column, an empty chain none
+        seen = spy_passed_diameters(monkeypatch)
+        op = operator()
+        op.estimate_report(Chain.single(F2, (), Fraction(1, 2)), 1, 2, 4, 2)
+        op.estimate_report(Chain.zero(F2, 1), 1, 2, 4, 2)
+        assert seen == [([0], [0]), ([], [])]
 
 class TestAccumulation:
     def test_single_simplex(self):

@@ -12,7 +12,7 @@ import pytest
 from barnorm import cli, harness
 from barnorm.chains import Chain, boundary, chain_from_records
 from barnorm.diffusion import DiffusionOperator
-from barnorm.errors import CollisionDetected
+from barnorm.errors import CollisionDetected, EnumerationTooLarge
 from barnorm.groups import FreeGroup, parse_model
 from barnorm.harness import (
     EXAMPLE_HOMOMORPHISMS,
@@ -134,6 +134,22 @@ class TestRandomChains:
         spec = RandomChainSpec(degree=degree, support=available, radius=8)
         assert len(random_chain(model, spec, random.Random(0))) == available
 
+    def test_over_cap_ball_size_is_raised_to_no_power(self):
+        # a ball larger than the support is never raised to the degree: a
+        # size that refuses ``**`` still fails as an over-cap ball
+        class NoPower(int):
+            def __pow__(self, other, mod=None):
+                raise AssertionError("the ball size was raised to a power")
+
+        class HugeBall(FreeGroup):
+            def ball_size(self, r):
+                return NoPower(10**30)
+
+        spec = RandomChainSpec(degree=2, support=3, radius=5)
+        with pytest.raises(EnumerationTooLarge,
+                           match=r"ball\(5\) of free:2: predicted size"):
+            random_chain(HugeBall(2), spec, None, cap=1000)
+
 
 class TestExampleHomomorphisms:
     def test_registry(self):
@@ -151,6 +167,19 @@ class TestExampleHomomorphisms:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             example_homomorphism("nope")
+
+    def test_all_builds_each_example_once(self, monkeypatch):
+        # each homomorphism serves its three pushforward runs
+        built = []
+        original = harness.example_homomorphism
+
+        def example(name, cap):
+            built.append(name)
+            return original(name, cap)
+
+        monkeypatch.setattr(harness, "example_homomorphism", example)
+        harness.run_all(3)
+        assert built == ["abelian2-to-z", "z-to-cyclic5"]
 
 
 class TestSuites:
