@@ -133,9 +133,6 @@ class Chain:
     def is_zero(self) -> bool:
         return not self._numer
 
-    def coefficient_sum(self) -> Fraction:
-        return Fraction(sum(self._numer.values()), self._denom)
-
     def __len__(self) -> int:
         return len(self._numer)
 

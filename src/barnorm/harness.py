@@ -33,7 +33,7 @@ from .norms import (
     verify_comparison,
     verify_pushforward_estimate,
 )
-from .vanishing import VanishingConstruction
+from .vanishing import VanishingConstruction, markers
 
 
 @dataclass(frozen=True)
@@ -323,7 +323,7 @@ def run_f2(levels: int, norm_params: Iterable[tuple[int, float]],
             "level": d,
             "words": len(data.signs),
             "max_word_length": max(map(len, data.signs)),
-            "markers_injective": len(set(data.markers.values())) == len(data.signs),
+            "markers_injective": len(set(markers(d))) == len(data.signs),
         })
     # decay_table asserts the telescoping identity at every level 0..levels
     # (and the support envelope of every row); a failed assertion is one

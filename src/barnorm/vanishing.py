@@ -5,14 +5,15 @@ positive words, each with a sign ``ε`` in ``{+1, −1}`` and an injective
 *marker* of length ``2d``: the base-2 expansion of its shortlex index (α for
 digit 0, β for digit 1).  Level 0 is ``{α}`` with sign ``+1``.  A word ``x``
 at level ``d`` spawns four children at level ``d+1`` via the suffix pair
-``s = α^{d+1} β^{d+1}``, ``t = β^{d+1} α^{d+1}``:
+``s = α^{d+1} β^{d+1}``, ``t = β^{d+1} α^{d+1}``: the parts ``m(x)·s, m(x)·t``
+(opposite sign) and the tips ``x·m(x)·s, x·m(x)·t`` (sign of x).
 
-    x·m(x)·s  (sign of x),      m(x)·s  (opposite sign),
-    x·m(x)·t  (sign of x),      m(x)·t  (opposite sign).
-
-One generator yields them in that order, parent by parent; a stored level is
-its table word ↦ sign, checked distinct and positive (so nothing cancels).
-Each level word ``x`` carries two 2-simplices
+Level ``d+1`` lists every part, then every tip, parent by parent in level
+``d``'s order.  Parts have length ``4d+2`` and tips are longer, so by
+induction from level 0 a stored level's key order is its shortlex order:
+nothing sorts, and each marker comes by position from one stream of base-2
+expansions.  A stored level is its table word ↦ sign, checked distinct and
+positive (so nothing cancels).  Each level word ``x`` carries two 2-simplices
 
     s(x) = [e, x, x·m(x)·s_{d+1}],    t(x) = [e, x, x·m(x)·t_{d+1}],
 
@@ -35,9 +36,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress, repeat, tee
-from operator import itemgetter, sub
+from itertools import chain, compress, product, repeat, tee
+from operator import eq, itemgetter, neg, sub
 from typing import Iterable, Iterator, Optional
 
 from .chains import Chain, boundary
@@ -47,7 +47,6 @@ from .norms import (INF, _profile_norm, _weight_profile, leq_with_slack,
                     weighted_norm)
 
 ALPHA, BETA = FreeGroup(2).positive_generators
-_MARKER_DIGITS = bytes.maketrans(b"01", ALPHA + BETA)
 _KEEP, _AB = bytes(range(256)), ALPHA + BETA  # translate(_KEEP, _AB) deletes α, β
 _TIP, _BASE = itemgetter(1), itemgetter(0)  # of a chunk simplex (x, tip)
 
@@ -59,11 +58,17 @@ def suffix_pair(d: int) -> tuple[bytes, bytes]:
     return ALPHA * d + BETA * d, BETA * d + ALPHA * d
 
 
-def _marker(index: int, width: int) -> bytes:
-    # base-2 expansion of index, α for 0-digit, β for 1-digit, left-padded
-    if not width:
-        return b""
-    return format(index, f"0{width}b").encode("ascii").translate(_MARKER_DIGITS)
+def markers(d: int, suffixes: tuple = (b"",)) -> Iterator[bytes]:
+    """Level ``d``'s markers in its key order, the ``2d``-digit base-2
+    expansions of 0, 1, 2, … (α for 0, β for 1), each followed by each of
+    ``suffixes`` in turn; each is joined from its two ``d``-digit halves."""
+    halves = tuple(map(b"".join, product((ALPHA, BETA), repeat=d)))
+    return map(b"".join, product(halves, halves, suffixes))
+
+
+def _twice(view: Iterable) -> Iterator:
+    """Each item of a dict or dict view twice in a row, in its order."""
+    return chain.from_iterable(zip(view, view))
 
 
 def _check_positive(model: FreeGroup, words: Iterable[bytes]) -> None:
@@ -76,7 +81,8 @@ def _check_positive(model: FreeGroup, words: Iterable[bytes]) -> None:
 
 @dataclass(frozen=True)
 class LevelData:
-    """One construction level: its word ↦ sign table, in build order."""
+    """One construction level: its word ↦ sign table, whose key order is
+    the level's shortlex order (so the i-th word's marker is ``i`` in base 2)."""
 
     level: int
     signs: dict
@@ -87,17 +93,6 @@ class LevelData:
                 f"level {self.level} has {len(self.signs)} distinct "
                 f"words, expected {4 ** self.level}"
             )
-
-    @cached_property
-    def words(self) -> tuple:
-        """The level's words in shortlex order (sorted on first read)."""
-        return tuple(sorted(sorted(self.signs), key=len))  # stable
-
-    @cached_property
-    def markers(self) -> dict:
-        """Word ↦ the base-2 expansion of its shortlex index (filled once)."""
-        width = 2 * self.level
-        return {w: _marker(i, width) for i, w in enumerate(self.words)}
 
 
 class VanishingConstruction:
@@ -122,44 +117,32 @@ class VanishingConstruction:
             raise EnumerationTooLarge(f"F2 level {d}",
                                       4**d if d < 1000 else INF, self.cap)
 
-    def _children(self, d: int) -> Iterator[tuple[bytes, int]]:
-        """Level ``d + 1``'s ``(word, sign)``: per parent, tips s, t, m·s, m·t."""
-        data = self.level(d)
-        markers = data.markers
-        s_next, t_next = suffix_pair(d + 1)
-        for x, sign in data.signs.items():
-            m_s, m_t = markers[x] + s_next, markers[x] + t_next
-            yield x + m_s, sign
-            yield x + m_t, sign
-            yield m_s, -sign
-            yield m_t, -sign
+    def _children(self, d: int) -> tuple[tuple, tuple]:
+        """Level ``d + 1`` in shortlex order, as two lazy ``(words, signs)``
+        column pairs: the parts ``m·s, m·t`` with sign ``−ε(x)``, then the tips
+        ``x·m·s, x·m·t`` with sign ``ε(x)``, each parent by parent in level
+        ``d``'s order, its marker ``m`` taken by position from ``markers(d)``."""
+        signs, pair = self.level(d).signs, suffix_pair(d + 1)
+        return ((markers(d, pair), map(neg, _twice(signs.values()))),
+                (map(bytes.__add__, _twice(signs), markers(d, pair)),
+                 _twice(signs.values())))
 
     def _build_next(self) -> None:
         d = len(self._levels)
-        signs = dict(self._children(d - 1))
+        parts, tips = self._children(d - 1)
+        signs = dict(chain(zip(*parts), zip(*tips)))
         _check_positive(self.model, signs)
         self._levels.append(LevelData(d, signs))
 
     # -- simplices and partial sums -----------------------------------------
-
-    def cone_simplices(self, x: bytes, d: int) -> tuple[tuple, tuple]:
-        """The two 2-simplices attached to a level-``d`` word ``x``."""
-        m_x = self.level(d).markers.get(x)
-        if m_x is None:
-            raise ValueError(f"{x!r} is not a level-{d} word")
-        s_next, t_next = suffix_pair(d + 1)
-        return (x, x + m_x + s_next), (x, x + m_x + t_next)
 
     def level_chunk(self, d: int) -> Chain:
         """Σ_{x in level d} ε(x)/2^{d+1} · (s(x) + t(x)) as an exact chain, its
         tips and their signs ε(x) from ``_children(d)``: level ``d + 1`` is
         counted against the cap first and never built."""
         self.check_level(d + 1)
-        signs = self.level(d).signs
-        numer = {}
-        for x, (tip_s, a_s), (tip_t, a_t), _, _ in zip(signs, *[self._children(d)] * 4):
-            numer[x, tip_s] = a_s
-            numer[x, tip_t] = a_t
+        tips, signs = self._children(d)[1]
+        numer = dict(zip(zip(_twice(self.level(d).signs), tips), signs))
         _check_positive(self.model, map(_TIP, numer))
         chunk = Chain(self.model, 2, 2 ** (d + 1), numer)
         _weight_profile(chunk, map(len, map(_TIP, numer)))
@@ -211,14 +194,17 @@ class VanishingConstruction:
     def _checked_tail(self, d: int, chunk: Chain, bd: Chain) -> Counter:
         """The tail's profile, the chunk's plus ``{(|a|, |tip| − |x|): count}``,
         once the identity is asserted: each ``(x, tip)`` with numerator ``a``
-        leaves ``−a`` at ``tip`` and ``a`` past ``x``, α keeps ``2^{d+1}`` over
+        leaves ``−a`` at ``tip`` and ``a`` at ``tip.removeprefix(x)`` (so
+        a tip not starting with ``x`` fails), α keeps ``2^{d+1}`` over
         ``2^{d+1}``, and nothing else remains.  Tips carry their parent's sign,
         so every ``[e,x]`` cancels and the count proves the children distinct."""
         get, numer = bd._numer.get, chunk._numer
+        parts = map(bytes.removeprefix, map(_TIP, numer), map(_BASE, numer))
         if not (bd._denom == 2 ** (d + 1) and get((ALPHA,)) == bd._denom
                 and len(bd) == 2 * len(numer) + 1
-                and all(get((tip,)) == -a and get((tip[len(x):],)) == a
-                        for (x, tip), a in numer.items())):
+                and all(map(eq, map(get, zip(map(_TIP, numer))),
+                            map(neg, numer.values())))
+                and all(map(eq, map(get, zip(parts)), numer.values()))):
             raise AssertionError(f"telescoping identity failed at level {d}")
         past_x = map(sub, map(len, map(_TIP, numer)), map(len, map(_BASE, numer)))
         return _weight_profile(chunk) + Counter(zip(map(abs, numer.values()), past_x))

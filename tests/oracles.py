@@ -1,6 +1,8 @@
 """Independent test oracles: plain breadth-first search on Cayley graphs,
 a tuple-word free group, a term-by-term norm evaluator, a term-by-term
-cone and an exhaustive check of the cone's accumulation control.
+cone, an exhaustive check of the cone's accumulation control, a chain's
+coefficient sum, and the F₂ construction's markers and cone simplices
+derived by sorting each level (the library builds levels already sorted).
 
 The BFS multiplies by generators only and never consults the model's
 word-length or sphere code, so it is a genuinely independent check of the
@@ -11,6 +13,7 @@ import math
 from fractions import Fraction
 
 from barnorm.chains import Chain
+from barnorm.vanishing import ALPHA, BETA, suffix_pair
 
 
 def bfs_distances(model, radius):
@@ -145,3 +148,30 @@ def accumulation_check(operator, chain):
                 if seen.setdefault(face, (y, r)) != (y, r):
                     violations.append(face)
     return checked, violations
+
+
+def coefficient_sum(chain):
+    """The exact sum of ``chain``'s coefficients."""
+    return Fraction(sum(chain._numer.values()), chain._denom)
+
+
+def level_markers(data):
+    """A construction level's word ↦ marker table, from a sort of its words:
+    the i-th word in shortlex order gets the ``2d``-digit base-2 expansion of
+    i, α for digit 0 and β for digit 1."""
+    width, letters = 2 * data.level, {"0": ALPHA, "1": BETA}
+    shortlex = sorted(data.signs, key=lambda w: (len(w), w))
+    return {w: b"".join(letters[c] for c in format(i, f"0{width}b")) if width else b""
+            for i, w in enumerate(shortlex)}
+
+
+def cone_simplices(construction, x, d, markers=None):
+    """The two 2-simplices ``[e, x, x·m(x)·s]`` and ``[e, x, x·m(x)·t]`` that
+    the construction attaches to a level-``d`` word ``x``; ``markers`` is
+    ``level_markers`` of that level, computed here when omitted."""
+    data = construction.level(d)
+    m_x = (markers or level_markers(data)).get(x)
+    if m_x is None:
+        raise ValueError(f"{x!r} is not a level-{d} word")
+    s_next, t_next = suffix_pair(d + 1)
+    return (x, x + m_x + s_next), (x, x + m_x + t_next)

@@ -23,8 +23,8 @@ from barnorm.norms import (
     weighted_norm,
 )
 from barnorm.vanishing import VanishingConstruction
-from barnorm import cli
-from oracles import bfs_distances, bfs_spheres
+from barnorm import cli, vanishing
+from oracles import bfs_distances, bfs_spheres, level_markers
 
 REL = 1e-9
 
@@ -147,10 +147,12 @@ def test_criterion_06_construction_soundness():
                         for b in g}
     for d in range(7):
         data = construction.level(d)
-        assert len(data.words) == 4**d
-        assert len(set(data.words)) == 4**d
-        assert all(set(w) <= positive_letters for w in data.words)
-        markers = list(data.markers.values())
+        words = list(data.signs)
+        assert len(words) == 4**d
+        assert len(set(words)) == 4**d
+        assert all(set(w) <= positive_letters for w in words)
+        markers = list(level_markers(data).values())
+        assert list(vanishing.markers(d)) == markers  # key order is shortlex
         assert len(set(markers)) == len(markers)  # injective
         assert all(len(m) == 2 * d for m in markers)
     finish(6, "construction levels 0..6 sound: 4^d distinct positive words, "

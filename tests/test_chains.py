@@ -21,6 +21,7 @@ from barnorm.chains import (
 from barnorm.errors import EnumerationTooLarge
 from barnorm.groups import Cyclic, FreeAbelian, FreeGroup, parse_model
 from barnorm.norms import INF, weighted_norm
+from oracles import coefficient_sum
 
 F2 = FreeGroup(2)
 w = F2.word
@@ -261,7 +262,7 @@ class TestHomomorphisms:
             lam = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 5))
             assert push_forward(proj, a + b.scale(lam)) == \
                 push_forward(proj, a) + push_forward(proj, b).scale(lam)
-            assert push_forward(proj, a).coefficient_sum() == a.coefficient_sum()
+            assert coefficient_sum(push_forward(proj, a)) == coefficient_sum(a)
 
     def test_relation_checks(self):
         # Z/5 -> Z cannot send the generator to a nonzero integer

@@ -1,3 +1,4 @@
+import builtins
 import gc
 import sys
 from dataclasses import fields
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from barnorm import chains, vanishing
+from barnorm import chains, harness, vanishing
 from barnorm.chains import Chain, boundary
 from barnorm.errors import CollisionDetected, EnumerationTooLarge
 from barnorm.groups import FreeGroup, GroupModel
@@ -16,9 +17,10 @@ from barnorm.vanishing import (
     BETA,
     LevelData,
     VanishingConstruction,
-    _marker,
+    markers,
     suffix_pair,
 )
+from oracles import cone_simplices, level_markers
 
 w = FreeGroup(2).word
 
@@ -37,15 +39,33 @@ class TestSuffixes:
         assert suffix_pair(3) == (w(1, 1, 1, 2, 2, 2), w(2, 2, 2, 1, 1, 1))
 
 
+def spy_sorted(monkeypatch):
+    """Patch ``sorted`` to record every ``bytes`` item it is given."""
+    seen, original = [], builtins.sorted
+
+    def spy(iterable, *args, **kwargs):
+        items = list(iterable)
+        seen.extend(item for item in items if isinstance(item, bytes))
+        return original(items, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "sorted", spy)
+    return seen
+
+
+def words_of(construction):
+    """Every word of every stored level."""
+    return set().union(*(data.signs for data in construction._levels))
+
+
 class TestLevels:
     def test_level_zero(self, construction):
         data = construction.level(0)
-        assert data.words == (ALPHA,)
-        assert data.markers[ALPHA] == b""
+        assert tuple(data.signs) == (ALPHA,)
+        assert list(markers(0)) == [b""]
         assert data.signs[ALPHA] == 1
 
     def test_level_one_words(self, construction):
-        words = set(construction.level(1).words)
+        words = set(construction.level(1).signs)
         assert words == {w(1, 1, 2), w(1, 2), w(1, 2, 1), w(2, 1)}
 
     def test_level_one_signs(self, construction):
@@ -56,60 +76,82 @@ class TestLevels:
         assert signs[w(2, 1)] == -1     # child of type m·t
 
     def test_level_one_markers_shortlex(self, construction):
-        markers = construction.level(1).markers
-        assert markers[w(1, 2)] == w(1, 1)
-        assert markers[w(2, 1)] == w(1, 2)
-        assert markers[w(1, 1, 2)] == w(2, 1)
-        assert markers[w(1, 2, 1)] == w(2, 2)
+        for table in (dict(zip(construction.level(1).signs, markers(1))),
+                      level_markers(construction.level(1))):
+            assert table[w(1, 2)] == w(1, 1)
+            assert table[w(2, 1)] == w(1, 2)
+            assert table[w(1, 1, 2)] == w(2, 1)
+            assert table[w(1, 2, 1)] == w(2, 2)
 
     @pytest.mark.parametrize("d", range(7))
     def test_sizes_and_injectivity(self, construction, d):
         data = construction.level(d)
-        assert len(data.words) == 4**d
-        assert len(set(data.words)) == 4**d
-        markers = set(data.markers.values())
-        assert len(markers) == 4**d
-        assert all(len(m) == 2 * d for m in markers)
+        assert len(data.signs) == 4**d
+        level = set(markers(d))
+        assert len(level) == 4**d
+        assert all(len(m) == 2 * d for m in level)
         # positive words only: no inverse letters ever appear
-        assert all(set(x) <= set(ALPHA + BETA) for x in data.words)
+        assert all(set(x) <= set(ALPHA + BETA) for x in data.signs)
 
-    @pytest.mark.parametrize("d", range(6))
+    @pytest.mark.parametrize("d", range(7))
     def test_markers_are_the_shortlex_index(self, construction, d):
+        # the level is built in shortlex order, so the i-th key's marker is
+        # the 2d-digit base-2 expansion of i, which the sorting oracle agrees on
         data = construction.level(d)
-        assert list(data.words) == sorted(data.words,
-                                          key=lambda x: (len(x), x))
-        for i, x in enumerate(data.words):
-            digits = [(i >> k) & 1 for k in reversed(range(2 * d))]
-            expected = b"".join(BETA if bit else ALPHA for bit in digits)
-            assert data.markers[x] == _marker(i, 2 * d) == expected
+        assert list(data.signs) == sorted(data.signs, key=lambda x: (len(x), x))
+        expected = [b"".join(BETA if (i >> k) & 1 else ALPHA
+                             for k in reversed(range(2 * d)))
+                    for i in range(4**d)]
+        assert list(markers(d)) == expected
+        assert list(level_markers(data).values()) == expected
 
     def test_top_level_builds_no_markers(self, monkeypatch):
         # run_f2(L) generates level L + 1 for the cone tips; nothing cones
-        # it, so only levels 0..L may derive markers, each level once
-        widths = []
+        # it, so only levels 0..L may derive markers
+        levels = []
 
-        def marker(index, width):
-            widths.append(width)
-            return _marker(index, width)
+        def spy(d, *suffixes):
+            levels.append(d)
+            return markers(d, *suffixes)
 
-        monkeypatch.setattr(vanishing, "_marker", marker)
+        monkeypatch.setattr(vanishing, "markers", spy)
+        monkeypatch.setattr(harness, "markers", spy)
         run_f2(3, [(0, 3)])
-        assert sorted(set(widths)) == [0, 2, 4, 6]
-        assert len(widths) == 1 + 4 + 16 + 64
-        assert "markers" not in {f.name for f in fields(LevelData)}
+        assert sorted(set(levels)) == [0, 1, 2, 3]
+        assert [f.name for f in fields(LevelData)] == ["level", "signs"]
 
-    def test_top_level_is_never_sorted(self):
-        # shortlex words are derived only where markers need them
+    def test_top_level_is_never_sorted(self, monkeypatch):
+        # levels are built in shortlex order, so no level is ever sorted
+        sorted_words = spy_sorted(monkeypatch)
         construction = VanishingConstruction()
         construction.decay_table(3, [(0, 3)])
-        assert "words" in vars(construction.level(3))
-        assert "words" not in vars(construction.level(4))
+        monkeypatch.undo()
+        assert not set(sorted_words) & words_of(construction)
         assert [f.name for f in fields(LevelData)] == ["level", "signs"]
+
+    def test_run_f2_sorts_no_level_and_keeps_no_markers(self, monkeypatch):
+        sorted_words, constructions = spy_sorted(monkeypatch), []
+        original = VanishingConstruction._build_next
+
+        def build_next(self):
+            original(self)
+            constructions.append(self)
+
+        monkeypatch.setattr(VanishingConstruction, "_build_next", build_next)
+        run_f2(3, [(0, 3)])
+        monkeypatch.undo()
+        construction = constructions[-1]
+        assert len(construction._levels) == 4
+        assert not set(sorted_words) & words_of(construction)
+        # no marker table on the construction or on any level
+        assert set(vars(construction)) == {"model", "cap", "_levels"}
+        assert all(set(vars(data)) == {"level", "signs"}
+                   for data in construction._levels)
 
     def test_word_length_growth(self, construction):
         for d in range(7):
             bound = 1 + sum(4 * j - 2 for j in range(1, d + 1))
-            realized = max(len(w) for w in construction.level(d).words)
+            realized = max(map(len, construction.level(d).signs))
             assert realized <= bound == 2 * d * d + 1
 
     def test_level_cap(self):
@@ -150,26 +192,26 @@ class TestLevels:
 
 class TestConeSimplices:
     def test_level_zero_pair(self, construction):
-        s_a, t_a = construction.cone_simplices(ALPHA, 0)
+        s_a, t_a = cone_simplices(construction, ALPHA, 0)
         assert s_a == (w(1), w(1, 1, 2))
         assert t_a == (w(1), w(1, 2, 1))
 
     def test_diameter(self, construction):
-        s_a, _ = construction.cone_simplices(ALPHA, 0)
+        s_a, _ = cone_simplices(construction, ALPHA, 0)
         assert construction.model.diameter(s_a) == 3
 
     def test_diameter_bound_all_levels(self, construction):
         model = construction.model
         for d in range(5):
-            data = construction.level(d)
-            for x in data.words:
-                s_x, t_x = construction.cone_simplices(x, d)
+            table = level_markers(construction.level(d))
+            for x in table:
+                s_x, t_x = cone_simplices(construction, x, d, table)
                 bound = len(x) + 4 * d + 2
                 assert model.diameter(s_x) <= bound
                 assert model.diameter(t_x) <= bound
 
     def test_boundary_expansion(self, construction):
-        s_a, t_a = construction.cone_simplices(ALPHA, 0)
+        s_a, t_a = cone_simplices(construction, ALPHA, 0)
         st = Chain.from_terms(construction.model, 2, [(s_a, 1), (t_a, 1)])
         bd = boundary(st)
         assert bd.coefficient((w(1),)) == 2
@@ -181,18 +223,18 @@ class TestConeSimplices:
 
     def test_unknown_word_rejected(self, construction):
         with pytest.raises(ValueError):
-            construction.cone_simplices(w(2), 0)
+            cone_simplices(construction, w(2), 0)
 
     def test_negative_level_rejected(self, construction):
         construction.level(3)
         with pytest.raises(ValueError, match="level must be >= 0"):
-            construction.cone_simplices(ALPHA, -1)
+            cone_simplices(construction, ALPHA, -1)
 
 
 class TestPartialSums:
     def test_level_zero_sum(self, construction):
         b0 = construction.partial_sum(0)
-        s_a, t_a = construction.cone_simplices(ALPHA, 0)
+        s_a, t_a = cone_simplices(construction, ALPHA, 0)
         assert b0.coefficient(s_a) == Fraction(1, 2)
         assert b0.coefficient(t_a) == Fraction(1, 2)
         assert len(b0) == 2
@@ -268,6 +310,30 @@ class TestTelescoping:
         with pytest.raises(AssertionError, match=f"failed at level {top}"):
             construction.boundary_tail(top)
 
+    def test_forged_tip_not_starting_with_its_base_fails(self, monkeypatch):
+        # two same-sign simplices of chunk(2) swap their bases x: every [e,x]
+        # still cancels and ∂b(2) keeps its support size, but a tip that does
+        # not start with its base has no part past it
+        top, original = 2, VanishingConstruction.level_chunk
+
+        def level_chunk(self, d):
+            chunk = original(self, d)
+            if d == top:
+                numer = dict(chunk._numer)
+                (x, tip), sign = next(iter(numer.items()))
+                y, other = next(key for key, a in numer.items()
+                                if a == sign and key[0] != x)
+                del numer[x, tip], numer[y, other]
+                numer[y, tip] = numer[x, other] = sign
+                chunk = Chain(self.model, 2, chunk._denom, numer)
+            return chunk
+
+        monkeypatch.setattr(VanishingConstruction, "level_chunk", level_chunk)
+        construction = VanishingConstruction()
+        construction.boundary_tail(top - 1)
+        with pytest.raises(AssertionError, match=f"failed at level {top}"):
+            construction.boundary_tail(top)
+
     def test_no_earlier_level_reachable_while_faces_accumulate(
             self, monkeypatch):
         # while chunk(d)'s faces are added, the only chain of the
@@ -329,11 +395,11 @@ class TestDecay:
 def reference_chunk(construction, d):
     """The chunk built term by term through ``Chain.from_terms``."""
     data = construction.level(d)
-    terms = []
-    for x in data.words:
-        value = Fraction(data.signs[x], 2 ** (d + 1))
+    table, terms = level_markers(data), []
+    for x, sign in data.signs.items():
+        value = Fraction(sign, 2 ** (d + 1))
         terms += [(simplex, value)
-                  for simplex in construction.cone_simplices(x, d)]
+                  for simplex in cone_simplices(construction, x, d, table)]
     return Chain.from_terms(construction.model, 2, terms)
 
 
@@ -341,7 +407,7 @@ def reference_edge_sum(construction, d):
     data = construction.level(d)
     return Chain.from_terms(
         construction.model, 1,
-        [((y,), Fraction(data.signs[y], 2**d)) for y in data.words])
+        [((y,), Fraction(sign, 2**d)) for y, sign in data.signs.items()])
 
 
 class TestDirectChains:
@@ -402,7 +468,7 @@ class TestCollisionGuards:
 
         monkeypatch.setattr(VanishingConstruction, "level_chunk", level_chunk)
         construction = VanishingConstruction()
-        s_a, t_a = construction.cone_simplices(ALPHA, 0)
+        s_a, t_a = cone_simplices(construction, ALPHA, 0)
         # a 2-cycle through chunk(0)'s simplices, added to chunk(1), leaves
         # every ∂b(d) as it was, but chunk(1) grows by four simplices
         cycle = boundary(Chain.single(construction.model, (ALPHA, *s_a[1:],
@@ -429,11 +495,15 @@ class TestCollisionGuards:
             VanishingConstruction().level(1)
 
     def test_forged_non_positive_child_validated(self, monkeypatch):
-        # a suffix with an inverse letter makes the tip α·α⁻¹ at level 1,
-        # which only the full check of validate can reject; α·β⁻¹ is
-        # reduced, so the positivity pass names it
-        monkeypatch.setattr(vanishing, "suffix_pair", lambda d: (w(-1), w(-2)))
+        # level 1's first word is the part m(α)·s = s; the unreduced suffix
+        # α·α⁻¹ only the full check of validate can reject, while the
+        # reduced α⁻¹ (and the chunk's tip α·β⁻¹) the positivity pass names
+        monkeypatch.setattr(vanishing, "suffix_pair",
+                            lambda d: (w(1) + w(-1), w(2)))
         with pytest.raises(ValueError, match="not reduced"):
+            VanishingConstruction().level(1)
+        monkeypatch.setattr(vanishing, "suffix_pair", lambda d: (w(-1), w(-2)))
+        with pytest.raises(ValueError, match="'A' is not positive"):
             VanishingConstruction().level(1)
         monkeypatch.setattr(vanishing, "suffix_pair", lambda d: (w(-2), w(-1)))
         with pytest.raises(ValueError, match="is not positive"):
