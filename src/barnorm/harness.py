@@ -16,6 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import pairwise, starmap
+from operator import lt
 from typing import Iterable, Optional
 
 from .chains import (
@@ -33,7 +35,7 @@ from .norms import (
     verify_comparison,
     verify_pushforward_estimate,
 )
-from .vanishing import VanishingConstruction, markers
+from .vanishing import VanishingConstruction
 
 
 @dataclass(frozen=True)
@@ -323,7 +325,10 @@ def run_f2(levels: int, norm_params: Iterable[tuple[int, float]],
             "level": d,
             "words": len(data.signs),
             "max_word_length": max(map(len, data.signs)),
-            "markers_injective": len(set(markers(d))) == len(data.signs),
+            # keys in strict shortlex order: the i-th word's marker is i in
+            # base 2, so the markers are injective and are its shortlex index
+            "markers_injective": all(starmap(lt, pairwise(
+                zip(map(len, data.signs), data.signs)))),
         })
     # decay_table asserts the telescoping identity at every level 0..levels
     # (and the support envelope of every row); a failed assertion is one

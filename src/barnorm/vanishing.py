@@ -117,22 +117,25 @@ class VanishingConstruction:
             raise EnumerationTooLarge(f"F2 level {d}",
                                       4**d if d < 1000 else INF, self.cap)
 
-    def _children(self, d: int) -> tuple[tuple, tuple]:
-        """Level ``d + 1`` in shortlex order, as two lazy ``(words, signs)``
-        column pairs: the parts ``m·s, m·t`` with sign ``−ε(x)``, then the tips
-        ``x·m·s, x·m·t`` with sign ``ε(x)``, each parent by parent in level
-        ``d``'s order, its marker ``m`` taken by position from ``markers(d)``."""
-        signs, pair = self.level(d).signs, suffix_pair(d + 1)
-        return ((markers(d, pair), map(neg, _twice(signs.values()))),
-                (map(bytes.__add__, _twice(signs), markers(d, pair)),
-                 _twice(signs.values())))
+    def _children(self, d: int, parts: Optional[Iterable[bytes]] = None
+                  ) -> tuple[Iterator[bytes], Iterator[int]]:
+        """Level ``d + 1``'s tips ``x·m·s, x·m·t`` and their signs ``ε(x)``,
+        parent by parent in level ``d``'s order, from the level's parts
+        ``m·s, m·t`` (sign ``−ε(x)``) in that order: joined from
+        ``markers(d)`` when not given, so each marker ``m`` comes by position.
+        Level ``d + 1`` lists every part, then every tip: its shortlex order."""
+        signs = self.level(d).signs
+        if parts is None:
+            parts = markers(d, suffix_pair(d + 1))
+        return map(bytes.__add__, _twice(signs), parts), _twice(signs.values())
 
     def _build_next(self) -> None:
-        d = len(self._levels)
-        parts, tips = self._children(d - 1)
-        signs = dict(chain(zip(*parts), zip(*tips)))
+        d = len(self._levels) - 1
+        parts = list(markers(d, suffix_pair(d + 1)))
+        signs = dict(zip(parts, map(neg, _twice(self._levels[d].signs.values()))))
+        signs.update(zip(*self._children(d, parts)))
         _check_positive(self.model, signs)
-        self._levels.append(LevelData(d, signs))
+        self._levels.append(LevelData(d + 1, signs))
 
     # -- simplices and partial sums -----------------------------------------
 
@@ -141,7 +144,7 @@ class VanishingConstruction:
         tips and their signs ε(x) from ``_children(d)``: level ``d + 1`` is
         counted against the cap first and never built."""
         self.check_level(d + 1)
-        tips, signs = self._children(d)[1]
+        tips, signs = self._children(d)
         numer = dict(zip(zip(_twice(self.level(d).signs), tips), signs))
         _check_positive(self.model, map(_TIP, numer))
         chunk = Chain(self.model, 2, 2 ** (d + 1), numer)

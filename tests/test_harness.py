@@ -47,11 +47,11 @@ def flip_one_sign(monkeypatch, level):
     it is stored and where the chunk below takes its tips."""
     original = VanishingConstruction._children
 
-    def children(self, d):
-        parts, (tips, signs) = original(self, d)
+    def children(self, d, parts=None):
+        tips, signs = original(self, d, parts)
         if d + 1 == level:
             signs = itertools.chain([-next(signs)], signs)
-        return parts, (tips, signs)
+        return tips, signs
 
     monkeypatch.setattr(VanishingConstruction, "_children", children)
 

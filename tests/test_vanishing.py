@@ -1,12 +1,13 @@
 import builtins
 import gc
 import sys
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
-from barnorm import chains, harness, vanishing
+from barnorm import chains, vanishing
 from barnorm.chains import Chain, boundary
 from barnorm.errors import CollisionDetected, EnumerationTooLarge
 from barnorm.groups import FreeGroup, GroupModel
@@ -107,7 +108,9 @@ class TestLevels:
 
     def test_top_level_builds_no_markers(self, monkeypatch):
         # run_f2(L) generates level L + 1 for the cone tips; nothing cones
-        # it, so only levels 0..L may derive markers
+        # it, so only levels 0..L derive markers: one stream to store each
+        # level d + 1 < L + 1, and one for each chunk's tips (levels 1..L
+        # again, since chunks take their tips from the one generator path)
         levels = []
 
         def spy(d, *suffixes):
@@ -115,10 +118,22 @@ class TestLevels:
             return markers(d, *suffixes)
 
         monkeypatch.setattr(vanishing, "markers", spy)
-        monkeypatch.setattr(harness, "markers", spy)
         run_f2(3, [(0, 3)])
-        assert sorted(set(levels)) == [0, 1, 2, 3]
+        assert Counter(levels) == {0: 2, 1: 2, 2: 2, 3: 1}
         assert [f.name for f in fields(LevelData)] == ["level", "signs"]
+
+    def test_markers_out_of_shortlex_order_are_violations(self, monkeypatch):
+        # parts taken in reverse order still give a valid construction, but
+        # from level 1 on the key order is not shortlex, so the i-th word's
+        # marker is not i in base 2: f2-levels counts one violation per level
+        original = vanishing.markers
+        monkeypatch.setattr(vanishing, "markers",
+                            lambda d, *suffixes: reversed(list(original(d, *suffixes))))
+        result = run_f2(3, [(0, 3)])
+        _, rows, violations = result["f2-levels"]
+        assert [row["markers_injective"] for row in rows] == [True] + [False] * 3
+        assert violations == 3
+        assert all(row["telescoping_ok"] for row in result["f2-decay"][1])
 
     def test_top_level_is_never_sorted(self, monkeypatch):
         # levels are built in shortlex order, so no level is ever sorted
