@@ -1,10 +1,11 @@
 """Sparse bar-complex chains, the boundary operator, and push-forwards.
 
-A degree-``k`` simplex ``[e, g1, …, gk]`` is stored as the tuple
-``(g1, …, gk)`` of canonical group elements; the first vertex is always the
-identity.  Degenerate simplices (repeated vertices, identity vertices) are
-legal basis elements and are carried as-is — dropping them would silently
-change the boundary operator.
+A degree-``k`` simplex ``[e, g1, …, gk]`` is keyed by the tuple ``(g1, …,
+gk)`` of canonical group elements (the first vertex is always the identity),
+and a degree-1 simplex ``[e, g]`` by ``g`` itself; the public views speak
+tuples in every degree.  Degenerate simplices (repeated vertices, identity
+vertices) are legal basis elements and are carried as-is — dropping them
+would silently change the boundary operator.
 
 Chains are finitely supported formal sums with exact rational coefficients.
 Internally a chain keeps nonzero integer numerators over a single positive
@@ -29,17 +30,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional
 
 from .groups import DEFAULT_ENUM_CAP, GroupModel, _smallest_constant
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
+def _key(simplex: tuple):
+    """A simplex's key in its chain: its vertex in degree 1, else itself."""
+    return simplex[0] if len(simplex) == 1 else simplex
+
+
+def _keys(columns: list) -> Iterable:
+    """The keys of the simplices whose vertex columns are ``columns``."""
+    return columns[0] if len(columns) == 1 else zip(*columns)
 
 
 class Chain:
@@ -50,7 +55,7 @@ class Chain:
     def __init__(self, model: GroupModel, degree: int, _denom: int = 1,
                  _numer: Optional[dict] = None):
         """``_denom`` and ``_numer`` are the internal form: trusted canonical
-        simplices with nonzero int numerators over one denominator.  The
+        simplex keys with nonzero int numerators over one denominator.  The
         chain takes ownership of ``_numer``."""
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
@@ -102,7 +107,7 @@ class Chain:
                 )
             for v in simplex:
                 model.validate(v)
-            coeffs[simplex] = coeffs.get(simplex, Fraction(0)) + _as_fraction(value)
+            coeffs[simplex] = coeffs.get(simplex, Fraction(0)) + Fraction(value)
         denom = 1
         for c in coeffs.values():
             denom = lcm(denom, c.denominator)
@@ -110,25 +115,30 @@ class Chain:
         for s, c in coeffs.items():
             n = c.numerator * (denom // c.denominator)
             if n:
-                numer[s] = n
+                numer[_key(s)] = n
         return cls(model, degree, denom, numer)
 
     # -- inspection ----------------------------------------------------------
 
+    def _simplices(self) -> Iterator[tuple]:
+        """The support's vertex tuples, in key order."""
+        return zip(self._numer) if self.degree == 1 else iter(self._numer)
+
     def coefficient(self, simplex: tuple) -> Fraction:
-        return Fraction(self._numer.get(tuple(simplex), 0), self._denom)
+        simplex = tuple(simplex)
+        n = self._numer.get(_key(simplex), 0) if len(simplex) == self.degree else 0
+        return Fraction(n, self._denom)
 
     def terms(self) -> Iterator[tuple[tuple, Fraction]]:
-        d = self._denom
-        for s, n in self._numer.items():
-            yield s, Fraction(n, d)
+        values = map(Fraction, self._numer.values(), repeat(self._denom))
+        return zip(self._simplices(), values)
 
     def support(self) -> tuple:
-        return tuple(self._numer)
+        return tuple(self._simplices())
 
     def sorted_support(self) -> list:
         key = self.model.sort_key
-        return sorted(self._numer, key=lambda s: tuple(key(v) for v in s))
+        return sorted(self._simplices(), key=lambda s: tuple(key(v) for v in s))
 
     def is_zero(self) -> bool:
         return not self._numer
@@ -207,7 +217,7 @@ class Chain:
         )
 
     def scale(self, value) -> "Chain":
-        q = _as_fraction(value)
+        q = Fraction(value)
         if not q:
             return Chain.zero(self.model, self.degree)
         numer = {s: n * q.numerator for s, n in self._numer.items()}
@@ -260,11 +270,15 @@ def boundary(chain: Chain, *, onto: Optional[Chain] = None) -> Chain:
         (simplex, num * factor) for simplex, num in chain._numer.items())
 
     def faces():
-        if degree == 2:
+        if degree == 1:  # both faces of [e, g] re-base to ()
+            for _, num in items:
+                yield (), num
+                yield (), -num
+        elif degree == 2:
             for (g1, g2), num in items:
-                yield (ldiv(g1, g2),), num
-                yield (g2,), -num
-                yield (g1,), num
+                yield ldiv(g1, g2), num
+                yield g2, -num
+                yield g1, num
         elif degree == 3:
             for (g1, g2, g3), num in items:
                 yield (ldiv(g1, g2), ldiv(g1, g3)), num
@@ -397,8 +411,8 @@ def push_forward(hom: GroupHomomorphism, chain: Chain) -> Chain:
         raise ValueError("chain does not live over the homomorphism source")
     apply = hom.apply
     out: dict[tuple, int] = {}
-    _accumulate(out, ((tuple(map(apply, simplex)), num)
-                      for simplex, num in chain._numer.items()))
+    _accumulate(out, zip((_key(tuple(map(apply, s))) for s in chain._simplices()),
+                         chain._numer.values()))
     return Chain(hom.target, chain.degree, chain._denom, out)
 
 

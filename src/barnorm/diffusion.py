@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from math import inf, lcm
 
-from .chains import Chain, _accumulate, boundary
+from .chains import Chain, _accumulate, _keys, boundary
 from .errors import EmptyAnnulus, EnumerationTooLarge
 from .groups import DEFAULT_ENUM_CAP, GroupModel
 from .norms import _ratio, _weight_profile, leq_with_slack, weighted_norm
@@ -181,7 +181,7 @@ class DiffusionOperator:
             return Chain.zero(model, degree + 1)
         diam = model.diameter
         by_radius: dict[int, list] = {}
-        for s, num in chain._numer.items():
+        for s, num in zip(chain._simplices(), chain._numer.values()):
             by_radius.setdefault(diam(s), []).append((s, num))
         common, scaled = self._scaled_annuli(sorted(by_radius))
         # Distinct cone points give distinct first vertices after re-basing
@@ -194,7 +194,7 @@ class DiffusionOperator:
             expected += len(points) * len(by_radius[r])
             for s, num in by_radius[r]:
                 moved = [memo.get((r, v)) or map(mul, points, repeat(v)) for v in s]
-                out.update(zip(zip(points, *moved), repeat(num * scale)))
+                out.update(zip(_keys([points, *moved]), repeat(num * scale)))
         if len(out) != expected:
             raise AssertionError(
                 "cone outputs collided; the accumulation control is broken"
@@ -237,7 +237,7 @@ class DiffusionOperator:
         # are equal, so such a face has its source's diameter and is dropped.
         sources = []  # (simplex, num, radius, kept_faces, cone_jobs)
         radii_needed = set()
-        for s, num in chain._numer.items():
+        for s, num in zip(chain._simplices(), chain._numer.values()):
             r_s = diam(s)
             radii_needed.add(r_s)
             kept_faces = []  # (sign, omit_index)
@@ -270,14 +270,14 @@ class DiffusionOperator:
             points, scale = scaled[r_s]
             value = num * scale
             translated = [translate(r_s, points, v) for v in s]
-            _accumulate(out, zip(zip(*translated), repeat(value)))
+            _accumulate(out, zip(_keys(translated), repeat(value)))
             for sign, j in kept_faces:
                 kept = translated[:j] + translated[j + 1 :]
-                _accumulate(out, zip(zip(points, *kept), repeat(sign * value)))
+                _accumulate(out, zip(_keys([points, *kept]), repeat(sign * value)))
             for face, multiple, r_f in cone_jobs:
                 points_f, scale_f = scaled[r_f]
                 fts = [translate(r_f, points_f, v) for v in face]
-                _accumulate(out, zip(zip(points_f, *fts), repeat(multiple * scale_f)))
+                _accumulate(out, zip(_keys([points_f, *fts]), repeat(multiple * scale_f)))
         return Chain(model, degree, chain._denom * common, out)
 
     def estimate_report(self, chain: Chain, n: int, p, q,
@@ -303,7 +303,7 @@ class DiffusionOperator:
         fused = self.chain_map(chain)
         coned = self.cone(chain)
         # |y| >= r for y in Z_r bounds every other distance: diameter = max |vertex|
-        lengths = [map(model.word_length, col) for col in zip(*coned._numer)]
+        lengths = [map(model.word_length, col) for col in zip(*coned._simplices())]
         _weight_profile(coned, map(max, repeat(0, len(coned)), *lengths))
         d_coned = boundary(coned)
         d_chain = boundary(chain) if chain.degree else Chain.zero(model, 0)

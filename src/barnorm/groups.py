@@ -126,12 +126,12 @@ class GroupModel:
         return best
 
     def diameters(self, simplices, degree: int) -> Iterator[int]:
-        """The :meth:`diameter` of each of ``simplices`` (``degree``-vertex
-        tuples), in order, one vertex column at a time: ``word_length`` over
-        each column and ``distance`` over each pair of columns."""
+        """The :meth:`diameter` of each of ``simplices`` (chain keys, so
+        vertices in degree 1), in order, one vertex column at a time:
+        ``word_length`` over each column and ``distance`` over each pair."""
         if degree == 0:
             return (0 for _ in simplices)
-        columns = list(zip(*simplices)) or [()] * degree
+        columns = [simplices] if degree == 1 else list(zip(*simplices)) or [()] * degree
         length, dist = self.word_length, self.distance
         parts = [map(length, column) for column in columns]
         parts += [map(dist, g, h) for g, h in combinations(columns, 2)]

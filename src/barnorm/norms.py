@@ -142,7 +142,7 @@ def _lp_of_rationals(values: Iterable[Fraction], p) -> float:
 
 def diameter_map(chain: Chain) -> dict:
     """Diameter of every support simplex."""
-    return dict(zip(chain._numer, map(chain.model.diameter, chain._numer)))
+    return dict(zip(chain.support(), chain.model.diameters(chain._numer, chain.degree)))
 
 
 def _weight_profile(chain: Chain, diameters: Optional[Iterable] = None) -> dict:

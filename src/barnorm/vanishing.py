@@ -34,6 +34,7 @@ enumeration cap raises ``EnumerationTooLarge`` before any build.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, product, repeat, tee
@@ -102,11 +103,13 @@ class VanishingConstruction:
         self.model = FreeGroup(2)
         self.cap = cap
         self._levels = [LevelData(0, {ALPHA: 1})]
+        self._lock = threading.RLock()  # one level builder at a time
 
     def level(self, d: int) -> LevelData:
         self.check_level(d)
-        while len(self._levels) <= d:
-            self._build_next()
+        with self._lock:  # re-entered as a build reads the level below
+            while len(self._levels) <= d:
+                self._build_next()
         return self._levels[d]
 
     def check_level(self, d: int) -> None:
@@ -168,8 +171,7 @@ class VanishingConstruction:
     def edge_sum(self, d: int) -> Chain:
         """Σ_{y in level d} ε(y)/2^d · [e, y] (the telescoped tail shape)."""
         signs = self.level(d).signs
-        edges = Chain(self.model, 1, 2**d,
-                      {(y,): sign for y, sign in signs.items()})
+        edges = Chain(self.model, 1, 2**d, dict(signs))
         _weight_profile(edges, map(len, signs))
         return edges
 
@@ -203,11 +205,10 @@ class VanishingConstruction:
         so every ``[e,x]`` cancels and the count proves the children distinct."""
         get, numer = bd._numer.get, chunk._numer
         parts = map(bytes.removeprefix, map(_TIP, numer), map(_BASE, numer))
-        if not (bd._denom == 2 ** (d + 1) and get((ALPHA,)) == bd._denom
+        if not (bd._denom == 2 ** (d + 1) and get(ALPHA) == bd._denom
                 and len(bd) == 2 * len(numer) + 1
-                and all(map(eq, map(get, zip(map(_TIP, numer))),
-                            map(neg, numer.values())))
-                and all(map(eq, map(get, zip(parts)), numer.values()))):
+                and all(map(eq, map(get, map(_TIP, numer)), map(neg, numer.values())))
+                and all(map(eq, map(get, parts), numer.values()))):
             raise AssertionError(f"telescoping identity failed at level {d}")
         past_x = map(sub, map(len, map(_TIP, numer)), map(len, map(_BASE, numer)))
         return _weight_profile(chunk) + Counter(zip(map(abs, numer.values()), past_x))

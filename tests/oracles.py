@@ -1,8 +1,10 @@
 """Independent test oracles: plain breadth-first search on Cayley graphs,
 a tuple-word free group, a term-by-term norm evaluator, a term-by-term
 cone, an exhaustive check of the cone's accumulation control, a chain's
-coefficient sum, and the F₂ construction's markers and cone simplices
-derived by sorting each level (the library builds levels already sorted).
+coefficient sum, the F₂ construction's markers and cone simplices derived
+by sorting each level (the library builds levels already sorted), and
+chain operators on plain ``{vertex tuple: Fraction}`` dicts in every degree
+(the library keys a degree-1 simplex by its vertex).
 
 The BFS multiplies by generators only and never consults the model's
 word-length or sphere code, so it is a genuinely independent check of the
@@ -93,7 +95,7 @@ def per_term_norm(chain, n, p):
     (through its logarithm beyond float range), the largest term at p = ∞,
     and ``math.fsum`` of the terms at fractional p."""
     pairs = [(abs(a), chain.model.diameter(s) ** n if n else 1)
-             for s, a in chain._numer.items()]
+             for s, a in zip(chain.support(), chain._numer.values())]
     denom = chain._denom
     if p != math.inf and float(p).is_integer():
         p = int(p)
@@ -175,3 +177,75 @@ def cone_simplices(construction, x, d, markers=None):
         raise ValueError(f"{x!r} is not a level-{d} word")
     s_next, t_next = suffix_pair(d + 1)
     return (x, x + m_x + s_next), (x, x + m_x + t_next)
+
+
+# -- tuple-keyed chains --------------------------------------------------------
+# A chain here is a plain ``{vertex tuple: Fraction}`` dict with no zero
+# coefficient, whatever its degree; each operator is written out term by term
+# from the paper's formulas, with explicit inverses.
+
+
+def _add_term(out, simplex, value):
+    value += out.pop(simplex, 0)
+    if value:
+        out[simplex] = value
+
+
+def tuple_sum(*signed_terms):
+    """``Σ sign · terms`` over ``(sign, terms)`` pairs."""
+    out = {}
+    for sign, terms in signed_terms:
+        for simplex, a in terms.items():
+            _add_term(out, simplex, sign * a)
+    return out
+
+
+def tuple_boundary(model, terms):
+    """``∂[e, g1, …, gk] = [e, g1⁻¹g2, …, g1⁻¹gk] + Σ_j (−1)^j [e, …, ĝj, …]``."""
+    out = {}
+    for s, a in terms.items():
+        g1_inv = model.inverse(s[0])
+        _add_term(out, tuple(model.multiply(g1_inv, v) for v in s[1:]), a)
+        for j in range(1, len(s) + 1):
+            _add_term(out, s[: j - 1] + s[j:], (-1) ** j * a)
+    return out
+
+
+def tuple_push_forward(hom, terms):
+    out = {}
+    for s, a in terms.items():
+        _add_term(out, tuple(hom.apply(v) for v in s), a)
+    return out
+
+
+def tuple_cone(operator, terms):
+    """``a_s/|Z_r| · (z⁻¹, z⁻¹g1, …, z⁻¹gk)`` for each cone point ``z`` of
+    the annulus of the source diameter ``r``."""
+    model, out = operator.model, {}
+    for s, a in terms.items():
+        annulus = operator.annulus(model.diameter(s))
+        for z in annulus:
+            zi = model.inverse(z)
+            coned = (zi,) + tuple(model.multiply(zi, v) for v in s)
+            _add_term(out, coned, a / len(annulus))
+    return out
+
+
+def tuple_chain_map(operator, degree, terms):
+    """``c − ∂cone(c) − cone(∂c)`` (no ``cone∘∂`` term in degree 0)."""
+    model = operator.model
+    parts = [(1, terms), (-1, tuple_boundary(model, tuple_cone(operator, terms)))]
+    if degree:
+        parts.append((-1, tuple_cone(operator, tuple_boundary(model, terms))))
+    return tuple_sum(*parts)
+
+
+def tuple_norm(model, terms, n, p):
+    """``(Σ |a|^p · diam^n)^{1/p}``, or ``max |a| · diam^n`` at p = ∞, with
+    ``0^0 = 1``; exact before the root at integer p."""
+    pairs = [(abs(a), model.diameter(s) ** n) for s, a in terms.items()]
+    if p == math.inf:
+        return float(max((a * w for a, w in pairs), default=0))
+    if float(p).is_integer():
+        return float(sum(a ** int(p) * w for a, w in pairs)) ** (1.0 / p)
+    return math.fsum(float(a) ** p * w for a, w in pairs) ** (1.0 / p)

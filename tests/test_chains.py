@@ -18,10 +18,12 @@ from barnorm.chains import (
     push_forward,
     with_kernel_control,
 )
+from barnorm.diffusion import AnnuliConfig, DiffusionOperator
 from barnorm.errors import EnumerationTooLarge
 from barnorm.groups import Cyclic, FreeAbelian, FreeGroup, parse_model
 from barnorm.norms import INF, weighted_norm
-from oracles import coefficient_sum
+from oracles import (coefficient_sum, tuple_boundary, tuple_chain_map,
+                     tuple_cone, tuple_norm, tuple_push_forward, tuple_sum)
 
 F2 = FreeGroup(2)
 w = F2.word
@@ -378,3 +380,94 @@ class TestSerialization:
         with pytest.raises(ValueError):
             chain_from_records(F2, [{"simplex": ["a"], "coeff": "1"},
                                     {"simplex": ["a", "b"], "coeff": "1"}])
+
+
+# -- the key rule: a degree-1 simplex is keyed by its vertex ---------------------
+
+# Per model: a vertex pool whose simplices have nonempty annuli at N = 2
+# (cyclic:5 has no element of length 3 or 4, so its pool keeps diameters
+# <= 1), and a non-injective homomorphism for the push-forward.  Abelian and
+# product elements are tuples, so a stray zip over their keys transposes
+# them instead of failing.
+KEY_MODELS = {
+    F2: (F2.ball(1), ((1, 0), (0, 1)), Z2),
+    Z2: (Z2.ball(1), (1, 2), Z5),
+    Z5: ((0, 1), (2,), Z5),
+    F2xZ5: (F2xZ5.ball(1), ((1, 0), (0, 1), (0, 0)), Z2),
+}
+KEY_CONES = {model: DiffusionOperator(model, AnnuliConfig(degree=2))
+             for model in KEY_MODELS}
+KEY_HOMS = {model: GroupHomomorphism(model, target, images)
+            for model, (_, images, target) in KEY_MODELS.items()}
+
+
+@st.composite
+def keyed_chains(draw, max_degree=3):
+    """``(model, degree, terms)``: tuple-keyed terms, repeats allowed."""
+    model = draw(st.sampled_from(list(KEY_MODELS)))
+    degree = draw(st.integers(0, max_degree))
+    simplex = st.tuples(*[st.sampled_from(KEY_MODELS[model][0])] * degree)
+    terms = draw(st.lists(st.tuples(simplex, COEFFICIENTS), max_size=5))
+    return model, degree, terms
+
+
+def tuple_terms(chain):
+    """The chain as a ``{vertex tuple: Fraction}`` dict, through ``terms``."""
+    terms = dict(chain.terms())
+    assert all(type(s) is tuple and len(s) == chain.degree for s in terms)
+    return terms
+
+
+class TestKeyRule:
+    @settings(max_examples=150, deadline=None)
+    @given(keyed_chains())
+    def test_public_views_speak_tuples(self, drawn):
+        model, degree, terms = drawn
+        expected = tuple_sum(*((1, {s: a}) for s, a in terms))
+        chain = Chain.from_terms(model, degree, terms)
+        assert tuple_terms(chain) == expected
+        assert sorted(chain.support(), key=repr) == sorted(expected, key=repr)
+        key = model.sort_key
+        assert chain.sorted_support() == sorted(
+            expected, key=lambda s: tuple(key(v) for v in s))
+        for s, _ in terms:
+            assert chain.coefficient(s) == expected.get(s, 0)
+            assert chain.coefficient(list(s)) == expected.get(s, 0)
+            # a simplex of another degree is not in the chain
+            assert chain.coefficient(s + s[:1] or (model.identity,)) == 0
+            if degree == 1 and type(s[0]) is tuple:  # its vertex is no simplex
+                assert chain.coefficient(s[0]) == 0
+        assert Chain.from_terms(model, degree, chain.terms()) == chain
+        back = chain_from_records(model, chain_to_records(chain), degree)
+        assert back == chain
+        assert all(len(r["simplex"]) == degree for r in chain_to_records(chain))
+
+    @settings(max_examples=150, deadline=None)
+    @given(keyed_chains(max_degree=4))
+    def test_boundary_and_push_forward_match_the_tuple_oracle(self, drawn):
+        model, degree, terms = drawn
+        chain = Chain.from_terms(model, degree, terms)
+        if degree:
+            bd = boundary(chain)
+            assert tuple_terms(bd) == tuple_boundary(model, tuple_terms(chain))
+            if degree > 1:
+                assert boundary(bd).is_zero()
+        hom = KEY_HOMS[model]
+        assert (tuple_terms(push_forward(hom, chain))
+                == tuple_push_forward(hom, tuple_terms(chain)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(keyed_chains())
+    def test_cone_and_chain_map_match_the_tuple_oracle(self, drawn):
+        model, degree, terms = drawn
+        chain, operator = Chain.from_terms(model, degree, terms), KEY_CONES[model]
+        expected = tuple_terms(chain)
+        coned = operator.cone(chain)
+        assert tuple_terms(coned) == tuple_cone(operator, expected)
+        assert (tuple_terms(operator.chain_map(chain))
+                == tuple_chain_map(operator, degree, expected))
+        for c in (chain, coned):
+            for n in range(3):
+                for p in (1, 2, 2.5, INF):
+                    assert weighted_norm(c, n, p) == pytest.approx(
+                        tuple_norm(model, tuple_terms(c), n, p), rel=1e-12)

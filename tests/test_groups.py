@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from barnorm.chains import _key
 from barnorm.errors import EnumerationTooLarge
 from barnorm.groups import (
     Cyclic,
@@ -165,7 +166,7 @@ class TestDistanceAndDiameter:
         for model in (F2, Z2, Z5):
             assert model.diameter((model.identity,) * 3) == 0
         # random simplices of degree <= 4 on ball(2), against BFS distances;
-        # diameters takes the same simplices a degree at a time
+        # diameters takes the same simplices' chain keys a degree at a time
         for model, dist, ball, rng in diameter_cases():
             by_degree = {degree: [] for degree in range(5)}
             for _ in range(200):
@@ -175,8 +176,8 @@ class TestDistanceAndDiameter:
                 assert model.diameter(verts) == expected
                 by_degree[degree].append((verts, expected))
             for degree, cases in by_degree.items():
-                simplices = [verts for verts, _ in cases]
-                assert list(model.diameters(simplices, degree)) == \
+                keys = [_key(verts) for verts, _ in cases]  # as a chain keys them
+                assert list(model.diameters(keys, degree)) == \
                     [expected for _, expected in cases]
                 assert list(model.diameters([], degree)) == []
 

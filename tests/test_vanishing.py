@@ -1,6 +1,7 @@
 import builtins
 import gc
 import sys
+import threading
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
@@ -159,9 +160,33 @@ class TestLevels:
         assert len(construction._levels) == 4
         assert not set(sorted_words) & words_of(construction)
         # no marker table on the construction or on any level
-        assert set(vars(construction)) == {"model", "cap", "_levels"}
+        assert set(vars(construction)) == {"model", "cap", "_levels", "_lock"}
         assert all(set(vars(data)) == {"level", "signs"}
                    for data in construction._levels)
+
+    def test_concurrent_callers_share_each_level(self):
+        # four threads ask a fresh construction for level 6 at once, with
+        # thread switches forced every microsecond: one of them builds each
+        # level, and all four get the same table
+        construction, results = VanishingConstruction(), [None] * 4
+
+        def call(k):
+            results[k] = construction.level(6)
+
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert isinstance(results[0], LevelData) and results[0].level == 6
+        assert all(data is results[0] for data in results)
+        assert [data.level for data in construction._levels] == list(range(7))
 
     def test_word_length_growth(self, construction):
         for d in range(7):
