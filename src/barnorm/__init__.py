@@ -15,7 +15,6 @@ from .chains import (
     chain_from_records,
     chain_to_records,
     identity_homomorphism,
-    kernel_ball_count,
     kernel_control_constant,
     push_forward,
     with_kernel_control,
@@ -40,7 +39,6 @@ from .norms import (
     comparison_exponent,
     diameter_map,
     fibered_pushforward_norm,
-    frechet_seminorm,
     pushforward_holder_bound,
     pushforward_norm_bound,
     verify_comparison,
@@ -79,10 +77,8 @@ __all__ = [
     "comparison_exponent",
     "diameter_map",
     "fibered_pushforward_norm",
-    "frechet_seminorm",
     "growth_constant",
     "identity_homomorphism",
-    "kernel_ball_count",
     "kernel_control_constant",
     "parse_model",
     "push_forward",

@@ -416,13 +416,6 @@ def push_forward(hom: GroupHomomorphism, chain: Chain) -> Chain:
     return Chain(hom.target, chain.degree, chain._denom, out)
 
 
-def kernel_ball_count(hom: GroupHomomorphism, radius: int,
-                      cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Number of source elements of word length <= radius mapping to e."""
-    target_id = hom.target.identity
-    return sum(1 for g in hom.source.ball(radius, cap) if hom.apply(g) == target_id)
-
-
 def kernel_control_constant(hom: GroupHomomorphism, degree: int,
                             r_max: int, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Empirical kernel-control constant on ``1 <= r <= r_max`` (exact max),

@@ -39,7 +39,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import repeat
-from math import inf, lcm
+from math import lcm
 
 from .chains import Chain, _accumulate, _keys, boundary
 from .errors import EmptyAnnulus, EnumerationTooLarge
@@ -101,15 +101,7 @@ class DiffusionOperator:
 
     def annulus_size_bound(self, r: int):
         """Exact element count of the annulus, without enumeration."""
-        if r == 0:
-            return 1
-        total = 0
-        for length in self.annulus_lengths(r):
-            size = self.model.sphere_size(length)
-            if size == inf:
-                return inf
-            total += size
-        return total
+        return self.model._sphere_sum(self.annulus_lengths(r)) if r else 1
 
     def annulus(self, r: int) -> tuple:
         """The memoized annulus of index ``r`` (``{e}`` for ``r = 0``)."""
@@ -132,7 +124,7 @@ class DiffusionOperator:
                         bound, cap,
                     )
                 elements = tuple(g for length in self.annulus_lengths(r)
-                                 for g in self.model.iter_sphere(length))
+                                 for g in self.model.sphere(length, cap))
             self._annuli[r] = elements
             return elements
 

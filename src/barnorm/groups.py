@@ -166,14 +166,18 @@ class GroupModel:
             )
         return elements
 
-    def ball_size(self, r: int):
+    def _sphere_sum(self, lengths: Iterable[int]):
+        """``sphere_size`` summed over ``lengths``; ``math.inf`` once a term is."""
         total = 0
-        for s in range(r + 1):
-            size = self.sphere_size(s)
+        for length in lengths:
+            size = self.sphere_size(length)
             if size == math.inf:
                 return math.inf
             total += size
         return total
+
+    def ball_size(self, r: int):
+        return self._sphere_sum(range(r + 1))
 
     def ball(self, r: int, cap: int = DEFAULT_ENUM_CAP) -> tuple:
         """All elements of word length at most ``r``, radius-major order."""
@@ -183,7 +187,7 @@ class GroupModel:
             raise EnumerationTooLarge(f"ball({r}) of {self.describe()}", size, cap)
         if cached is None:
             cached = self._ball_cache[r] = tuple(
-                g for s in range(r + 1) for g in self.iter_sphere(s))
+                g for s in range(r + 1) for g in self.sphere(s, cap))
         return cached
 
     # -- ordering / identity ---------------------------------------------

@@ -144,8 +144,8 @@ def _run_trials(suite: str, schema: tuple, model, spec: RandomChainSpec,
                 input_chain: Optional[Chain] = None) -> dict:
     """The ``suite`` table of ``check(chain)`` rows for ``trials`` chains
     drawn in order from ``Random(seed)`` (or for ``input_chain`` alone, when
-    given), each prefixed with its trial number; rows not ``ok`` count as
-    violations."""
+    given), each with its trial number and projected onto ``schema`` in
+    schema order; rows not ``ok`` count as violations."""
     if input_chain is not None:
         chains = [input_chain]
     else:
@@ -153,6 +153,7 @@ def _run_trials(suite: str, schema: tuple, model, spec: RandomChainSpec,
         chains = (random_chain(model, spec, rng, cap) for _ in range(trials))
     rows = [{"trial": trial, **check(chain)}
             for trial, chain in enumerate(chains)]
+    rows = [{key: row[key] for key in schema} for row in rows]
     return {suite: (schema, rows, sum(not row["ok"] for row in rows))}
 
 
@@ -184,13 +185,7 @@ def run_contractivity(model_desc: str, k: int, n: int, p, q,
                       support: int = 8, cap: int = DEFAULT_ENUM_CAP) -> dict:
     def check(chain):
         report = check_contractivity(chain, n, p, q)
-        return {
-            "k": k, "n": n, "p": p, "q": q,
-            "norm_p": report.norm_p, "norm_q": report.norm_q,
-            "ceil_m": report.ceil_exponent,
-            "norm_sup": report.norm_sup, "norm_ceil": report.norm_ceil,
-            "ok": report.ok,
-        }
+        return {"k": k, "n": n, "p": p, "q": q, **vars(report)}
 
     spec = RandomChainSpec(degree=k, support=support, radius=radius)
     return _run_trials("norms", CONTRACTIVITY_SCHEMA, parse_model(model_desc),
@@ -211,12 +206,8 @@ def run_compare(model_desc: str, growth_degree: int, k: int, n: int, p, q,
 
     def check(chain):
         report = verify_comparison(chain, n, p, q, growth_degree, constant)
-        return {
-            "k": k, "n": n, "p": p, "q": q,
-            "m": report.exponent_m, "constant": report.constant,
-            "lhs": report.lhs, "rhs": report.rhs, "ratio": report.ratio,
-            "ok": report.ok,
-        }
+        return {"k": k, "n": n, "p": p, "q": q, **vars(report),
+                "ratio": report.ratio}
 
     spec = RandomChainSpec(degree=k, support=support, radius=radius)
     return _run_trials("compare-pq", COMPARE_SCHEMA, model, spec, trials, seed,
@@ -236,14 +227,7 @@ def run_pushforward(hom_name: str, k: int, n: int, p, trials: int, seed: int,
 
     def check(chain):
         report = verify_pushforward_estimate(hom, chain, n, p)
-        return {
-            "hom": hom_name, "k": k, "n": n, "p": p,
-            "m": report.exponent_m, "constant": report.constant,
-            "lhs": report.lhs, "rhs": report.rhs, "exact": report.exact,
-            "ratio_primary": report.ratio_primary,
-            "ratio_alternate": report.ratio_alternate,
-            "ok": report.ok,
-        }
+        return {"hom": hom_name, "k": k, "n": n, "p": p, **vars(report)}
 
     spec = RandomChainSpec(degree=k, support=support, radius=radius)
     return _run_trials("pushforward", PUSHFORWARD_SCHEMA, hom.source, spec,
@@ -289,18 +273,10 @@ def run_diffuse(model_desc: str, annuli_degree: int, degree: int, n: int, p, q,
         nonlocal last_cone
         report = operator.estimate_report(chain, n, p, q, ratio_m)
         last_cone = report.cone
-        return {
-            "degree": chain.degree, "N": annuli_degree,
-            "conforming": report.conforming, "n": n, "p": p, "q": q,
-            "ratio_m": ratio_m, "support": len(chain),
-            "cone_support": len(report.cone),
-            "homotopy_exact": report.homotopy_exact,
-            "bound_lhs": report.bound_lhs, "bound_rhs": report.bound_rhs,
-            "bound_ok": report.bound_ok,
-            "ratio_map": report.ratio_map, "ratio_cone": report.ratio_cone,
-            "ratio_boundary_cone": report.ratio_boundary_cone,
-            "ok": report.homotopy_exact and report.bound_ok,
-        }
+        return {**vars(report), "degree": chain.degree, "N": annuli_degree,
+                "ratio_m": ratio_m, "support": len(chain),
+                "cone_support": len(report.cone),
+                "ok": report.homotopy_exact and report.bound_ok}
 
     results = _run_trials("diffuse", DIFFUSE_SCHEMA, model, spec, trials, seed,
                           check, cap, input_chain)

@@ -8,7 +8,7 @@ diameter raised to ``n`` and takes the lp norm of the coefficients:
 
 with the convention 0^0 := 1, so that ``n = 0`` gives the plain lp norm; for
 ``n >= 1`` degenerate simplices carry weight zero (the norms are then
-seminorms — the Fréchet family adds the boundary norm to separate points).
+seminorms).
 
 Coefficients stay exact rationals until a norm value is needed.  A chain's
 norms read its weight profile ``{(|a|, diam): count}`` over its integer
@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import chain as concat, repeat
 from typing import Iterable, Optional
 
-from .chains import Chain, GroupHomomorphism, boundary, push_forward
+from .chains import Chain, GroupHomomorphism, push_forward
 
 INF = math.inf
 ZETA2 = math.pi**2 / 6
@@ -181,14 +181,6 @@ def weighted_norm(chain: Chain, n: int, p) -> float:
     return _profile_norm(_weight_profile(chain), chain._denom, n, p)
 
 
-def frechet_seminorm(chain: Chain, n: int, p) -> float:
-    """‖c‖_{n,p} + ‖∂c‖_{n,p}; the boundary term is zero in degree 0."""
-    value = weighted_norm(chain, n, p)
-    if chain.degree >= 1:
-        value += weighted_norm(boundary(chain), n, p)
-    return value
-
-
 # -- comparison of exponents ---------------------------------------------------
 
 
@@ -200,7 +192,7 @@ class ContractivityReport:
     norm_q: float
     norm_sup: float
     norm_ceil: float
-    ceil_exponent: int
+    ceil_m: int
     ok: bool
 
 
@@ -231,6 +223,8 @@ def check_contractivity(chain: Chain, n: int, p, q) -> ContractivityReport:
 def comparison_exponent(k: int, n: int, p, q, growth_degree: int) -> int:
     """Weight shift making the (m, q) norm dominate the (n, p) norm on a
     model of polynomial growth degree ``growth_degree`` (exact ceiling)."""
+    if p == INF:
+        raise ValueError(f"need p < q, got p={p}, q={q}")
     p = Fraction(p)
     if not 1 <= p:
         raise ValueError("need p >= 1")
@@ -248,7 +242,7 @@ class InequalityReport:
     lhs: float
     rhs: float
     constant: float
-    exponent_m: Optional[int]
+    m: Optional[int]
     ok: bool
 
     @property
@@ -347,7 +341,7 @@ class PushforwardReport:
     lhs: float
     rhs: float
     constant: float
-    exponent_m: int
+    m: int
     ok: bool
     exact: bool
     ratio_primary: float
@@ -371,8 +365,6 @@ def verify_pushforward_estimate(hom: GroupHomomorphism, chain: Chain,
         raise ValueError("homomorphism carries no kernel-control certificate")
     if not hom.is_metric_compatible():
         raise ValueError("generator images must have word length <= 1")
-    if chain.model != hom.source:
-        raise ValueError("chain does not live over the homomorphism source")
     k = chain.degree
     kd2 = k * cert.degree + 2
     big_k = float(cert.constant) ** k

@@ -13,7 +13,6 @@ from barnorm.chains import (
     chain_from_records,
     chain_to_records,
     identity_homomorphism,
-    kernel_ball_count,
     kernel_control_constant,
     push_forward,
     with_kernel_control,
@@ -302,14 +301,14 @@ class TestHomomorphisms:
         proj = with_kernel_control(
             GroupHomomorphism(Z2, Z, [(1,), (0,)]), 1, 10)
         assert proj.kernel_control.constant == 3
-        assert kernel_ball_count(proj, 4) == 9  # {(0, t) : |t| <= 4}
+        assert kernel_control_constant(proj, 0, 4) == 9  # {(0, t) : |t| <= 4}
         red = GroupHomomorphism(Z, Z5, [1])
         assert kernel_control_constant(red, 1, 12) == 1
         assert kernel_control_constant(red, 0, 12) == 5  # 2·⌊12/5⌋ + 1
         with pytest.raises(ValueError, match="r_max"):
             kernel_control_constant(red, 1, 0)
         for r in range(1, 13):
-            assert kernel_ball_count(red, r) == 2 * (r // 5) + 1
+            assert kernel_control_constant(red, 0, r) == 2 * (r // 5) + 1
 
     def test_kernel_certificate_applies_each_element_once(self, monkeypatch):
         applied = []

@@ -63,7 +63,11 @@ class TestMultiplication:
                         assert model.multiply(model.multiply(g, h), k) == \
                             model.multiply(g, model.multiply(h, k))
 
-    @pytest.mark.parametrize("model,radius", [(F2, 3), (Z2, 4), (FreeAbelian(3), 3)])
+    @pytest.mark.parametrize("model,radius", [
+        (F2, 3), (Z2, 4), (FreeAbelian(3), 3),
+        (DirectProduct([F2, Z5]), 3),
+        (DirectProduct([DirectProduct([F2, Cyclic(3)]), FreeAbelian(1)]), 3),
+    ])
     def test_group_laws_randomized(self, model, radius):
         rng = random.Random(11)
         ball = model.ball(radius)

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 
 from barnorm import cli, harness
 from barnorm.chains import Chain, boundary, chain_from_records
-from barnorm.diffusion import DiffusionOperator
+from barnorm.diffusion import AnnuliConfig, DiffusionOperator
 from barnorm.errors import CollisionDetected, EnumerationTooLarge
 from barnorm.groups import FreeGroup, parse_model
 from barnorm.harness import (
@@ -280,6 +281,33 @@ class TestCli:
                         "--trials", "5", "--outdir", str(tmp_path))
         assert code == 0
         assert ",inf," in (tmp_path / "compare-pq.csv").read_text()
+
+    def test_compare_refuses_infinite_p(self, tmp_path, capsys):
+        # norms and diffuse refuse p = inf with the same message
+        code = self.run("compare-pq", "--p", "inf",
+                        "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert "need p < q, got p=inf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_enumeration_short_of_its_count_exits_one(self, tmp_path, capsys,
+                                                      monkeypatch):
+        iter_sphere = FreeGroup.iter_sphere
+
+        def drops_one(self, r):
+            return itertools.islice(iter_sphere(self, r), 1 if r else 0, None)
+
+        monkeypatch.setattr(FreeGroup, "iter_sphere", drops_one)
+        short = "sphere(1) of free:2: enumerated 3, counting formula says 4"
+        with pytest.raises(AssertionError, match=re.escape(short)):
+            FreeGroup(2).ball(1)
+        with pytest.raises(AssertionError, match=re.escape(short)):
+            DiffusionOperator(FreeGroup(2), AnnuliConfig(degree=2)).annulus(1)
+        code = self.run("diffuse", "--trials", "1",
+                        "--outdir", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {short}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_f2_command(self, tmp_path):
         code = self.run("f2-vanish", "--levels", "4", "--norms", "0:3,0:2",

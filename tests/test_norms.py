@@ -27,7 +27,6 @@ from barnorm.norms import (
     comparison_exponent,
     diameter_map,
     fibered_pushforward_norm,
-    frechet_seminorm,
     pushforward_holder_bound,
     pushforward_norm_bound,
     verify_comparison,
@@ -195,25 +194,6 @@ class TestWeightedNorm:
             assert weighted_norm(c1, 1, p) == weighted_norm(c2, 1, p)
 
 
-class TestFrechetSeminorm:
-    def test_two_simplex_value(self):
-        c = Chain.single(F2, (A, word(1, 1, 2)))
-        assert abs(frechet_seminorm(c, 0, 2) - (1 + math.sqrt(3))) < 1e-12
-
-    def test_cycle_reduces_to_norm(self):
-        c = Chain.single(F2, (A,))  # boundary vanishes in degree 1
-        assert frechet_seminorm(c, 2, 2) == weighted_norm(c, 2, 2)
-
-    def test_homogeneity(self):
-        c = Chain.single(F2, (A, word(1, 1, 2)))
-        assert abs(frechet_seminorm(c.scale(2), 1, 3)
-                   - 2 * frechet_seminorm(c, 1, 3)) < 1e-12
-
-    def test_degree_zero(self):
-        c = Chain.single(F2, (), Fraction(3, 2))
-        assert frechet_seminorm(c, 0, 2) == 1.5
-
-
 class TestContractivity:
     def test_equality_on_unit_edge(self):
         r = check_contractivity(Chain.single(F2, (A,)), 0, 2, 4)
@@ -230,7 +210,7 @@ class TestContractivity:
         r = check_contractivity(Chain.single(F2, (word(1, 1),), 5), 1, 2, 4)
         assert r.norm_sup == 10.0
         assert abs(r.norm_ceil - 10.0) < 1e-12
-        assert r.ceil_exponent == 2
+        assert r.ceil_m == 2
         assert r.ok
 
     def test_requires_ordered_exponents(self):
@@ -362,7 +342,12 @@ class TestPushforwardEstimates:
         c = Chain.from_terms(Z2, 1, [(((1, 0),), 1), (((0, 7),), 1)])
         report = verify_pushforward_estimate(self.projection(), c, 0, 1)
         assert report.exact and report.lhs == 2.0 and report.rhs == 2.0
-        assert report.ok and report.constant == 1.0 and report.exponent_m == 0
+        assert report.ok and report.constant == 1.0 and report.m == 0
+
+    def test_chain_off_the_source_rejected(self):
+        chain = Chain.single(F2, (A,))
+        with pytest.raises(ValueError, match="does not live over"):
+            verify_pushforward_estimate(self.projection(), chain, 0, 2)
 
     def test_identity_is_isometric_at_p1(self):
         hom = identity_homomorphism(F2)
