@@ -36,15 +36,15 @@ translates, which ``cone`` reads (a racing ``cone`` sees one pass's lists).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import repeat
 from math import lcm
 
 from .chains import Chain, _accumulate, _keys, boundary
-from .errors import EmptyAnnulus, EnumerationTooLarge
+from .errors import EmptyAnnulus
 from .groups import DEFAULT_ENUM_CAP, GroupModel
-from .norms import _ratio, _weight_profile, leq_with_slack, weighted_norm
+from .norms import (_ratio, _require_p_below_q, _weight_profile,
+                    leq_with_slack, weighted_norm)
 
 
 @dataclass(frozen=True)
@@ -69,69 +69,43 @@ class AnnuliConfig:
 class DiffusionOperator:
     """Deterministic diffusion cone operator for one model and one config.
 
-    Annuli are memoized per radius behind a lock (read-mostly, single-writer
-    fill); all chain-level operations are pure.  The translation memo holds
-    one ``chain_map`` call's ``Z_r·v`` lists; ``cone`` computes, never stores, a miss.
+    Annuli are the model's memoized :meth:`GroupModel.spheres`, shared by its
+    operators; chain operations are pure.  The translation memo holds one
+    ``chain_map`` call's ``Z_r·v`` lists; ``cone`` computes, never stores, a miss.
     """
 
     def __init__(self, model: GroupModel, config: AnnuliConfig):
         self.model = model
         self.config = config
-        self._annuli: dict[int, tuple] = {}
         self._translations: dict[tuple, list] = {}
-        self._lock = threading.Lock()
 
     # -- annuli ------------------------------------------------------------
 
-    def _max_shell_width(self, r: int) -> int:
-        """Largest integer d with d**10 < r**N, i.e. the number of word
-        lengths below r**N that still meet the annulus condition."""
+    def annulus_lengths(self, r: int) -> range:
+        """Word lengths of the annulus of index ``r``: r**N and the d below it,
+        d the largest integer >= 0 with d**10 < r**N (so ``range(1)`` at 0)."""
         hi = r**self.config.degree
         d = int(round(hi**0.1))
-        while d**10 >= hi:
+        while d and d**10 >= hi:
             d -= 1
         while (d + 1) ** 10 < hi:
             d += 1
-        return d
-
-    def annulus_lengths(self, r: int) -> range:
-        """Word lengths belonging to the annulus of index ``r >= 1``."""
-        hi = r**self.config.degree
-        return range(hi - self._max_shell_width(r), hi + 1)
+        return range(hi - d, hi + 1)
 
     def annulus_size_bound(self, r: int):
         """Exact element count of the annulus, without enumeration."""
-        return self.model._sphere_sum(self.annulus_lengths(r)) if r else 1
+        return self.model._sphere_sum(self.annulus_lengths(r))
 
     def annulus(self, r: int) -> tuple:
-        """The memoized annulus of index ``r`` (``{e}`` for ``r = 0``)."""
-        cached = self._annuli.get(r)
-        if cached is not None:
-            return cached
-        with self._lock:
-            cached = self._annuli.get(r)
-            if cached is not None:
-                return cached
-            if r == 0:
-                elements = (self.model.identity,)
-            else:
-                bound = self.annulus_size_bound(r)
-                cap = self.config.element_cap
-                if bound > cap:
-                    raise EnumerationTooLarge(
-                        f"annulus(r={r}, N={self.config.degree}) "
-                        f"of {self.model.describe()}",
-                        bound, cap,
-                    )
-                elements = tuple(g for length in self.annulus_lengths(r)
-                                 for g in self.model.sphere(length, cap))
-            self._annuli[r] = elements
-            return elements
+        """The annulus of index ``r`` (``{e}`` at 0), memoized by the model."""
+        return self.model.spheres(
+            f"annulus(r={r}, N={self.config.degree})", self.annulus_lengths(r),
+            self.annulus_size_bound(r), self.config.element_cap)
 
     def check_annuli_disjoint(self, radii) -> None:
         """Verify that the annuli for the given indices are pairwise disjoint
         (exact interval comparison; no enumeration)."""
-        radii = sorted(set(radii) - {0})
+        radii = sorted(set(radii))
         n = self.config.degree
         for r1, r2 in zip(radii, radii[1:]):
             gap = r2**n - r1**n
@@ -288,8 +262,7 @@ class DiffusionOperator:
         for exponential growth at large ``N``, so they are observational
         here.
         """
-        if not p < q:
-            raise ValueError(f"need p < q, got p={p}, q={q}")
+        _require_p_below_q(p, q)
         model = chain.model
         n_deg = self.config.degree
         fused = self.chain_map(chain)

@@ -40,8 +40,9 @@ each product-valued component in brackets (``a;[b;1];0,2``).
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from operator import add, neg, sub
 from typing import Callable, Iterable, Iterator
@@ -58,8 +59,8 @@ _EXACT_COUNT_LIMIT = 1_000_000
 class GroupModel:
     """A finitely generated group with its marked symmetric generating set.
 
-    Pure functions throughout; the memos (``_ball_cache``, a product's
-    ``_sphere_counts``) are idempotent fills, so models are safe to share.
+    Pure functions throughout, and models are safe to share: :meth:`spheres`
+    memoizes under a lock, a product's ``_sphere_counts`` idempotently.
     """
 
     kind: str
@@ -154,17 +155,36 @@ class GroupModel:
         """
         raise NotImplementedError
 
-    def sphere(self, r: int, cap: int = DEFAULT_ENUM_CAP) -> tuple:
-        size = self.sphere_size(r)
+    def spheres(self, what: str, lengths: range, size, cap: int) -> tuple:
+        """The spheres of ``lengths`` as one tuple, memoized under the lock.
+        Refuses ``size`` (a memo's length) past ``cap`` as ``what`` before any
+        enumeration, and checks each sphere against :meth:`sphere_size`."""
+        cached = self._spheres.get(lengths)
+        if cached is not None:
+            size = len(cached)
         if size > cap:
-            raise EnumerationTooLarge(f"sphere({r}) of {self.describe()}", size, cap)
+            raise EnumerationTooLarge(f"{what} of {self.describe()}", size, cap)
+        if cached is not None:
+            return cached
+        with self._lock:
+            cached = self._spheres.get(lengths)
+            if cached is None:
+                cached = self._spheres[lengths] = tuple(
+                    chain.from_iterable(map(self._checked_sphere, lengths)))
+        return cached
+
+    def _checked_sphere(self, r: int) -> tuple:
         elements = tuple(self.iter_sphere(r))
+        size = self.sphere_size(r)
         if len(elements) != size:
             raise AssertionError(
                 f"sphere({r}) of {self.describe()}: enumerated {len(elements)}, "
                 f"counting formula says {size}"
             )
         return elements
+
+    def sphere(self, r: int, cap: int = DEFAULT_ENUM_CAP) -> tuple:
+        return self.spheres(f"sphere({r})", range(r, r + 1), self.sphere_size(r), cap)
 
     def _sphere_sum(self, lengths: Iterable[int]):
         """``sphere_size`` summed over ``lengths``; ``math.inf`` once a term is."""
@@ -181,14 +201,7 @@ class GroupModel:
 
     def ball(self, r: int, cap: int = DEFAULT_ENUM_CAP) -> tuple:
         """All elements of word length at most ``r``, radius-major order."""
-        cached = self._ball_cache.get(r)
-        size = self.ball_size(r) if cached is None else len(cached)
-        if size > cap:
-            raise EnumerationTooLarge(f"ball({r}) of {self.describe()}", size, cap)
-        if cached is None:
-            cached = self._ball_cache[r] = tuple(
-                g for s in range(r + 1) for g in self.sphere(s, cap))
-        return cached
+        return self.spheres(f"ball({r})", range(r + 1), self.ball_size(r), cap)
 
     # -- ordering / identity ---------------------------------------------
 
@@ -205,7 +218,8 @@ class GroupModel:
         raise NotImplementedError
 
     def __init__(self):
-        self._ball_cache: dict[int, tuple] = {}
+        self._spheres: dict[range, tuple] = {}
+        self._lock = threading.Lock()
 
     def __repr__(self):
         return f"<GroupModel {self.describe()}>"

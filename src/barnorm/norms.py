@@ -196,6 +196,11 @@ class ContractivityReport:
     ok: bool
 
 
+def _require_p_below_q(p, q) -> None:
+    if not p < q:
+        raise ValueError(f"need p < q, got p={p}, q={q}")
+
+
 def check_contractivity(chain: Chain, n: int, p, q) -> ContractivityReport:
     """Verify ‖c‖_{n,q} <= ‖c‖_{n,p} for finite q > p, together with the
     sup-norm comparison ‖c‖_{n,∞} <= ‖c‖_{⌈np⌉,p}.
@@ -204,8 +209,7 @@ def check_contractivity(chain: Chain, n: int, p, q) -> ContractivityReport:
     (the sup picks up the full weight diamⁿ while the p-norm only sees
     diam^{n/p} per term); with q = ∞ only the shifted comparison applies.
     """
-    if not p < q:
-        raise ValueError(f"need p < q, got p={p}, q={q}")
+    _require_p_below_q(p, q)
     norm_p = weighted_norm(chain, n, p)
     m = math.ceil(n * Fraction(p))
     norm_sup = weighted_norm(chain, n, INF)
@@ -223,16 +227,13 @@ def check_contractivity(chain: Chain, n: int, p, q) -> ContractivityReport:
 def comparison_exponent(k: int, n: int, p, q, growth_degree: int) -> int:
     """Weight shift making the (m, q) norm dominate the (n, p) norm on a
     model of polynomial growth degree ``growth_degree`` (exact ceiling)."""
-    if p == INF:
-        raise ValueError(f"need p < q, got p={p}, q={q}")
+    _require_p_below_q(p, q)
     p = Fraction(p)
     if not 1 <= p:
         raise ValueError("need p >= 1")
     if q == INF:
         return math.ceil((k * growth_degree + n + 2) / p)
     q = Fraction(q)
-    if not p < q:
-        raise ValueError(f"need p < q, got p={p}, q={q}")
     inner = (k * growth_degree + 2) * (1 / p - 1 / q) + Fraction(n) / p
     return math.ceil(q * inner)
 
@@ -322,8 +323,7 @@ def pushforward_holder_bound(family: FiberedFamily, weights: dict,
                              p, q) -> InequalityReport:
     """Check the generalized Hölder bound ‖π_*(f·w)‖_p <= ‖π_*f‖_q ‖π_*w‖_{q'}
     with 1/q + 1/q' = 1/p."""
-    if not p < q:
-        raise ValueError(f"need p < q, got p={p}, q={q}")
+    _require_p_below_q(p, q)
     q_prime = 1.0 / (1.0 / float(p) - 1.0 / float(q)) if q != INF else float(p)
     product = {i: family.values[i] * weights[i] for i in family.index}
     lhs = _lp_of_rationals(family.pushforward(product).values(), p)

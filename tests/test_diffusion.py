@@ -52,6 +52,10 @@ class TestAnnuli:
     def test_radius_zero_is_identity(self):
         assert operator().annulus(0) == (E,)
 
+    def test_radius_zero_is_the_memoized_ball_zero(self):
+        model = FreeGroup(2)
+        assert operator(model=model).annulus(0) is model.ball(0)
+
     def test_lengths_match_float_thresholds(self):
         for n in (2, 3, 5, 10, 20):
             op = operator(degree=n)
@@ -75,7 +79,7 @@ class TestAnnuli:
 
     def test_disjointness(self):
         for n in (2, 3, 12):
-            operator(degree=n).check_annuli_disjoint(range(1, 9))
+            operator(degree=n).check_annuli_disjoint(range(9))
 
     def test_cap(self):
         op = operator(cap=1000)
@@ -95,6 +99,16 @@ class TestAnnuli:
     def test_memoization_is_stable(self):
         op = operator()
         assert op.annulus(2) is op.annulus(2)
+
+    def test_filled_annulus_still_refused_past_a_lower_cap(self):
+        # operators over one model share its memo; each call checks its cap
+        model = FreeGroup(2)
+        assert len(operator(model=model).annulus(3)) == 34992
+        with pytest.raises(EnumerationTooLarge) as info:
+            operator(model=model, cap=1000).annulus(3)
+        assert info.value.bound == 34992 and info.value.cap == 1000
+        assert str(info.value) == ("annulus(r=3, N=2) of free:2: predicted "
+                                   "size 34992 exceeds cap 1000")
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.describe())
     def test_annuli_are_inverse_closed(self, model):
@@ -166,34 +180,40 @@ class TestCone:
                 assert op.cone(c) == reference_cone(op, c)
 
     def test_cone_during_annulus_fill(self, monkeypatch):
-        # a cone racing the first fill of its annulus must see the whole
-        # memo: model.inverse blocks the filling thread for as long as the
-        # other thread needs, so a fill that stores its annulus before
-        # inverting it hands the second thread a half-built memo
+        # a cone racing the first fill of its annulus must wait for the
+        # whole memo: iter_sphere blocks the filling thread at the annulus's
+        # last sphere, so a fill that stores its entry sphere by sphere hands
+        # the racing cone part of the annulus before the release
         model = FreeGroup(2)
         op = operator(model=model)
+        last = op.annulus_lengths(2)[-1]
         filling, release = threading.Event(), threading.Event()
         filler = threading.Thread(target=op.annulus, args=(2,))
-        original = model.inverse
+        original = model.iter_sphere
 
-        def inverse(g):
-            if threading.current_thread() is filler:
+        def iter_sphere(r):
+            if threading.current_thread() is filler and r == last:
                 filling.set()
                 release.wait(10)
-            return original(g)
+            return original(r)
 
-        monkeypatch.setattr(model, "inverse", inverse)
+        monkeypatch.setattr(model, "iter_sphere", iter_sphere)
         c = Chain.single(model, (w(1, 2),), Fraction(1, 3))
+        coned = []
+        racer = threading.Thread(target=lambda: coned.append(op.cone(c)))
         filler.start()
         try:
-            while filler.is_alive() and not filling.wait(0.01):
-                pass
-            coned = op.cone(c)
+            assert filling.wait(10)
+            racer.start()
+            racer.join(0.2)
+            returned_before_release = not racer.is_alive()
         finally:
             release.set()
             filler.join(10)
-        assert not filler.is_alive()
-        assert coned == reference_cone(op, c)
+            racer.join(10)
+        assert not filler.is_alive() and not racer.is_alive()
+        assert not returned_before_release
+        assert coned == [reference_cone(op, c)]
 
     def test_different_model_rejected(self):
         with pytest.raises(ValueError):

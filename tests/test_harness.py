@@ -290,6 +290,14 @@ class TestCli:
         assert "need p < q, got p=inf" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_compare_refuses_p_not_below_q_as_given(self, tmp_path, capsys):
+        # the refusal reads the exponents as given, as norms and diffuse do
+        code = self.run("compare-pq", "--p", "2.5", "--q", "1.5",
+                        "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert "need p < q, got p=2.5, q=1.5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_enumeration_short_of_its_count_exits_one(self, tmp_path, capsys,
                                                       monkeypatch):
         iter_sphere = FreeGroup.iter_sphere
