@@ -12,7 +12,8 @@ where each cone ``[z, e, g1, …, gk]`` is re-based at the identity as
 word lengths are inversion-invariant and each annulus satisfies ``Z = Z⁻¹``:
 the sum over ``z`` of the re-based cones is the sum over ``y`` in ``Z`` of
 ``(y, y·g1, …, y·gk)``, and the annulus itself is the set of re-based cone
-points.  Subtracting the boundary round trips gives the chain map
+points.  ``cone`` and ``chain_map`` write every cone term by this one rule.
+Subtracting the boundary round trips gives the chain map
 ``id − ∂∘cone − cone∘∂``, chain homotopic to the identity by construction;
 the homotopy identity holds in exact rational arithmetic and exercising it
 validates boundary, cone, re-basing and signs all at once.
@@ -23,7 +24,8 @@ is decided exactly by comparing tenth powers (``r**N - r**(N/10) < L`` iff
 ``(r**N - L)**10 < r**N``), which agrees with the real-valued threshold
 everywhere, including the integer-width case ``N ≡ 0 (mod 10)``.  The
 index-0 annulus is ``{e}`` so that degenerate simplices stay conable; they
-carry weight zero in every norm with positive weight degree.
+carry weight zero in every norm with positive weight degree.  Two annuli
+are disjoint when one's range of lengths stops at or below the other's start.
 
 ``N`` may be any integer >= 2 so that annuli stay enumerable at desk scale;
 reports flag runs with ``N <= 10`` as outside the regime where the
@@ -66,12 +68,22 @@ class AnnuliConfig:
         return self.degree > 10
 
 
+def _cone_terms(scaled, translate, simplex, value, r):
+    """The ``(key, value·scale)`` pairs of ``value·cone(simplex)`` over the
+    annulus of index ``r``, ``scaled[r] = (points, scale)``, reading each
+    vertex's translate ``Z_r·v`` as ``translate(r, points, v)``."""
+    points, scale = scaled[r]
+    moved = [translate(r, points, v) for v in simplex]
+    return zip(_keys([points, *moved]), repeat(value * scale))
+
+
 class DiffusionOperator:
     """Deterministic diffusion cone operator for one model and one config.
 
     Annuli are the model's memoized :meth:`GroupModel.spheres`, shared by its
-    operators; chain operations are pure.  The translation memo holds one
-    ``chain_map`` call's ``Z_r·v`` lists; ``cone`` computes, never stores, a miss.
+    operators and checked disjoint as length ranges.  Chain operations are
+    pure; :func:`_cone_terms` writes every cone term, and the translation memo
+    holds one ``chain_map`` call's ``Z_r·v`` lists (``cone`` only reads it).
     """
 
     def __init__(self, model: GroupModel, config: AnnuliConfig):
@@ -92,28 +104,21 @@ class DiffusionOperator:
             d += 1
         return range(hi - d, hi + 1)
 
-    def annulus_size_bound(self, r: int):
-        """Exact element count of the annulus, without enumeration."""
-        return self.model._sphere_sum(self.annulus_lengths(r))
-
     def annulus(self, r: int) -> tuple:
         """The annulus of index ``r`` (``{e}`` at 0), memoized by the model."""
+        lengths = self.annulus_lengths(r)
         return self.model.spheres(
-            f"annulus(r={r}, N={self.config.degree})", self.annulus_lengths(r),
-            self.annulus_size_bound(r), self.config.element_cap)
+            f"annulus(r={r}, N={self.config.degree})", lengths,
+            self.model._sphere_sum(lengths), self.config.element_cap)
 
     def check_annuli_disjoint(self, radii) -> None:
-        """Verify that the annuli for the given indices are pairwise disjoint
-        (exact interval comparison; no enumeration)."""
+        """Verify that the annuli for the given indices are pairwise disjoint:
+        each one's length range stops at or below the next one's start."""
         radii = sorted(set(radii))
-        n = self.config.degree
         for r1, r2 in zip(radii, radii[1:]):
-            gap = r2**n - r1**n
-            # need r2**(n/10) <= gap, i.e. the r2 shell starts above r1**n
-            if gap < 0 or gap**10 < r2**n:
-                raise RuntimeError(
-                    f"annuli for r={r1} and r={r2} overlap at N={n}"
-                )
+            if self.annulus_lengths(r1).stop > self.annulus_lengths(r2).start:
+                raise RuntimeError(f"annuli for r={r1} and r={r2} overlap "
+                                   f"at N={self.config.degree}")
 
     def _scaled_annuli(self, radii) -> tuple[int, dict]:
         """Put the annulus averages over ``radii`` on one denominator.
@@ -123,8 +128,8 @@ class DiffusionOperator:
         the re-based cone points) and the scale lcm // |Z_r| of its cone
         coefficients.
         """
+        annuli = {r: self.annulus(r) for r in radii}  # cap refusals come first
         self.check_annuli_disjoint(radii)
-        annuli = {r: self.annulus(r) for r in radii}
         for r, points in annuli.items():
             if not points:
                 raise EmptyAnnulus(
@@ -142,30 +147,26 @@ class DiffusionOperator:
         if chain.model != self.model:
             raise ValueError("chain does not live over the operator's model")
         model = self.model
-        degree = chain.degree
         if chain.is_zero():
-            return Chain.zero(model, degree + 1)
-        diam = model.diameter
-        by_radius: dict[int, list] = {}
-        for s, num in zip(chain._simplices(), chain._numer.values()):
-            by_radius.setdefault(diam(s), []).append((s, num))
-        common, scaled = self._scaled_annuli(sorted(by_radius))
+            return Chain.zero(model, chain.degree + 1)
+        radii = list(map(model.diameter, chain._simplices()))
+        common, scaled = self._scaled_annuli(sorted(set(radii)))
+        memo, mul = self._translations, model.multiply
+
+        def translate(r, points, v):
+            return memo.get((r, v)) or map(mul, points, repeat(v))
+
         # Distinct cone points give distinct first vertices after re-basing
         # and equal cone points force equal sources, so cone output keys
         # never collide; the dict can be assembled without accumulation.
         out: dict[tuple, int] = {}
-        memo, mul = self._translations, model.multiply
-        expected = 0
-        for r, (points, scale) in scaled.items():
-            expected += len(points) * len(by_radius[r])
-            for s, num in by_radius[r]:
-                moved = [memo.get((r, v)) or map(mul, points, repeat(v)) for v in s]
-                out.update(zip(_keys([points, *moved]), repeat(num * scale)))
-        if len(out) != expected:
+        for s, num, r in zip(chain._simplices(), chain._numer.values(), radii):
+            out.update(_cone_terms(scaled, translate, s, num, r))
+        if len(out) != sum(len(scaled[r][0]) for r in radii):
             raise AssertionError(
                 "cone outputs collided; the accumulation control is broken"
             )
-        return Chain(model, degree + 1, chain._denom * common, out)
+        return Chain(model, chain.degree + 1, chain._denom * common, out)
 
     def chain_map(self, chain: Chain) -> Chain:
         """id − ∂∘cone − cone∘∂, computed exactly.
@@ -185,43 +186,38 @@ class DiffusionOperator:
             raise ValueError("chain does not live over the operator's model")
         degree = chain.degree
         memo = self._translations = {}
-        if chain.is_zero():
-            return chain
-        if degree == 0:
-            # ∂(cone c) is the boundary of a degree-1 chain, which vanishes,
-            # and there is no cone∘∂ term.
+        if chain.is_zero() or degree == 0:
+            # in degree 0, ∂(cone c) is the boundary of a degree-1 chain,
+            # which vanishes, and there is no cone∘∂ term.
             return chain
         model = self.model
         diam = model.diameter
         ldiv = model._left_divide
 
-        # First pass: per source, its faces and their boundary signs.  A
-        # face of the same diameter as its source contributes the same keys
-        # to −∂∘cone (the omitted-vertex terms) and to −cone∘∂ (its own
-        # cone) with opposite signs, so the pair is dropped outright.  Two
-        # omitted-vertex faces coincide only when the vertices between them
-        # are equal, so such a face has its source's diameter and is dropped.
-        sources = []  # (simplex, num, radius, kept_faces, cone_jobs)
+        # First pass: per source, its cone jobs ``(face, numerator, radius)``;
+        # −∂∘cone's omitted-vertex terms are the faces' cones over Z_{r_s}.
+        # A face of its source's diameter gives the same keys there and to
+        # −cone∘∂ (its own cone) with opposite signs, so the pair is dropped.
+        # Two omitted-vertex faces coincide only when the vertices between
+        # them are equal, so such a face has its source's diameter: dropped.
+        sources = []  # (simplex, num, radius, cone jobs)
         radii_needed = set()
         for s, num in zip(chain._simplices(), chain._numer.values()):
             r_s = diam(s)
             radii_needed.add(r_s)
-            kept_faces = []  # (sign, omit_index)
-            cone_jobs = []   # (face, numerator multiple, face radius)
+            omitted, coned = [], []
             sign = -1
             for j in range(degree):
                 face = s[:j] + s[j + 1 :]
                 r_f = diam(face)
                 if r_f != r_s:
-                    radii_needed.add(r_f)
-                    kept_faces.append((sign, j))
-                    cone_jobs.append((face, -sign * num, r_f))
+                    omitted.append((face, sign * num, r_s))
+                    coned.append((face, -sign * num, r_f))
                 sign = -sign
             rebased = tuple(ldiv(s[0], v) for v in s[1:])
-            r_0 = diam(rebased)
-            radii_needed.add(r_0)
-            cone_jobs.append((rebased, -num, r_0))
-            sources.append((s, num, r_s, kept_faces, cone_jobs))
+            coned.append((rebased, -num, diam(rebased)))
+            radii_needed.update(r for _, _, r in coned)
+            sources.append((s, num, r_s, omitted + coned))
 
         common, scaled = self._scaled_annuli(radii_needed)
         out: dict[tuple, int] = {}
@@ -232,18 +228,12 @@ class DiffusionOperator:
                 memo[r, v] = list(map(mul, points, repeat(v)))
             return memo[r, v]
 
-        for s, num, r_s, kept_faces, cone_jobs in sources:
+        for s, num, r_s, jobs in sources:
             points, scale = scaled[r_s]
-            value = num * scale
             translated = [translate(r_s, points, v) for v in s]
-            _accumulate(out, zip(_keys(translated), repeat(value)))
-            for sign, j in kept_faces:
-                kept = translated[:j] + translated[j + 1 :]
-                _accumulate(out, zip(_keys([points, *kept]), repeat(sign * value)))
-            for face, multiple, r_f in cone_jobs:
-                points_f, scale_f = scaled[r_f]
-                fts = [translate(r_f, points_f, v) for v in face]
-                _accumulate(out, zip(_keys([points_f, *fts]), repeat(multiple * scale_f)))
+            _accumulate(out, zip(_keys(translated), repeat(num * scale)))
+            for face, value, r in jobs:
+                _accumulate(out, _cone_terms(scaled, translate, face, value, r))
         return Chain(model, degree, chain._denom * common, out)
 
     def estimate_report(self, chain: Chain, n: int, p, q,

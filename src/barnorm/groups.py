@@ -32,9 +32,9 @@ values reproducible bit for bit.
 Model descriptors (used by the CLI and serialization) follow the grammar
 ``free:K``, ``abelian:N``, ``cyclic:M``, ``product:[DESC,DESC,…]``.  Free
 group elements serialize as words over ``a, b, c, …`` with capital letters
-for inverses (identity: the empty string); abelian and cyclic elements as
-comma-separated integers; product elements join their components with ``;``,
-each product-valued component in brackets (``a;[b;1];0,2``).
+for inverses (identity: ``""``, or ``e`` below rank 5); abelian and cyclic
+elements as comma-separated integers; product elements join their components
+with ``;``, each product-valued component in brackets (``a;[b;1];0,2``).
 """
 
 from __future__ import annotations
@@ -379,8 +379,8 @@ class FreeGroup(GroupModel):
 
     def element_from_str(self, text: str):
         text = text.strip()
-        if text in ("", "e"):
-            return b""
+        if not text or (text == "e" and "e" not in self._letter_of_char):
+            return b""  # "e" is the identity unless it is a letter (rank >= 5)
         word = b""
         for ch in text:
             letter = self._letter_of_char.get(ch)

@@ -21,7 +21,9 @@ one evaluator over ``(|a|, w, count)`` terms, ``w = diam^n``, in three regimes:
 
 * ``p = ∞`` (the distinct value ``math.inf``): the largest ``|a|·(1/D)·w``;
 * integer ``p``: the exact ``Σ count·|a|^p·w / D^p``, rooted once at the
-  end; a sum beyond float range is rooted through its logarithm;
+  end; a sum beyond float range is rooted through its logarithm.  A ``p``
+  whose sum would hold over ``EXACT_SUM_MAX_BITS`` bits (about
+  ``p·bits(max(a, D))``, seconds of work) is refused before any power;
 * fractional ``p``: ``math.fsum`` of ``(|a|·(1/D))^p·w`` repeated ``count``
   times — one float per simplex, summed exactly and rounded once.
 
@@ -48,6 +50,7 @@ from .chains import Chain, GroupHomomorphism, push_forward
 INF = math.inf
 ZETA2 = math.pi**2 / 6
 REL_SLACK = 1e-9
+EXACT_SUM_MAX_BITS = 1 << 20
 
 
 def leq_with_slack(lhs: float, rhs: float) -> bool:
@@ -111,6 +114,11 @@ def _lp(terms: Iterable[tuple], denom: int, p) -> float:
         raise ValueError("exponent p must be >= 1")
     p_int = _exponent_as_int(p)
     if p_int is not None:
+        terms = list(terms)
+        bits = p_int * max([denom, *(a for a, _, _ in terms)]).bit_length()
+        if bits > EXACT_SUM_MAX_BITS:
+            raise ValueError(f"exponent {p_int}: its exact power sum would hold about "
+                             f"{bits} bits, past the bound of {EXACT_SUM_MAX_BITS}")
         total = _power_sum(terms, denom, p_int)
         try:
             return float(total) ** (1.0 / p_int)

@@ -1,6 +1,7 @@
 """Independent test oracles: plain breadth-first search on Cayley graphs,
 a tuple-word free group, a term-by-term norm evaluator, a term-by-term
-cone, an exhaustive check of the cone's accumulation control, a chain's
+cone, an exhaustive check of the cone's accumulation control, the
+tenth-power rule for overlapping annulus shells, a chain's
 coefficient sum, the F₂ construction's markers and cone simplices derived
 by sorting each level (the library builds levels already sorted), and
 chain operators on plain ``{vertex tuple: Fraction}`` dicts in every degree
@@ -150,6 +151,13 @@ def accumulation_check(operator, chain):
                 if seen.setdefault(face, (y, r)) != (y, r):
                     violations.append(face)
     return checked, violations
+
+
+def shells_overlap(r1, r2, n):
+    """Whether the annulus of index ``r2 > r1`` reaches down to ``r1**n``:
+    its real width ``r2**(n/10)`` exceeds the gap, decided in tenth powers."""
+    gap = r2**n - r1**n
+    return gap < 0 or gap**10 < r2**n
 
 
 def coefficient_sum(chain):

@@ -368,6 +368,13 @@ class TestSerialization:
         assert back == c
         assert chain_to_records(back) == records
 
+    def test_fifth_free_generator_records_round_trip(self):
+        F5 = FreeGroup(5)
+        c = Chain.single(F5, (F5.word(5),)) - Chain.single(F5, (F5.word(-5, 1),))
+        records = json.loads(json.dumps(chain_to_records(c)))
+        assert records[0]["simplex"] == ["e"]
+        assert chain_from_records(F5, records) == c
+
     def test_coefficients_as_reduced_fractions(self):
         c = Chain.single(F2, (w(1),), Fraction(2, 4))
         assert chain_to_records(c) == [{"simplex": ["a"], "coeff": "1/2"}]

@@ -12,7 +12,8 @@ from barnorm.errors import EmptyAnnulus, EnumerationTooLarge
 from barnorm.groups import Cyclic, FreeAbelian, FreeGroup, parse_model
 from barnorm.harness import RandomChainSpec, random_chain
 from barnorm.norms import weighted_norm
-from oracles import accumulation_check, coefficient_sum, reference_cone
+from oracles import (accumulation_check, coefficient_sum, reference_cone,
+                     shells_overlap)
 
 F2 = FreeGroup(2)
 Z2 = FreeAbelian(2)
@@ -74,12 +75,50 @@ class TestAnnuli:
     def test_degree_two_radius_three_size(self):
         op = operator(degree=2)
         assert list(op.annulus_lengths(3)) == [8, 9]
-        assert op.annulus_size_bound(3) == 4 * 3**7 + 4 * 3**8 == 34992
+        with pytest.raises(EnumerationTooLarge) as info:  # predicted, unfilled
+            operator(model=FreeGroup(2), cap=1).annulus(3)
+        assert info.value.bound == 4 * 3**7 + 4 * 3**8 == 34992
         assert len(op.annulus(3)) == 34992
 
     def test_disjointness(self):
         for n in (2, 3, 12):
             operator(degree=n).check_annuli_disjoint(range(9))
+
+    def test_range_check_matches_tenth_power_rule(self):
+        for n in range(2, 31):
+            op = operator(degree=n)
+            for r1 in range(13):
+                for r2 in range(r1 + 1, 13):
+                    overlap = shells_overlap(r1, r2, n)
+                    assert (op.annulus_lengths(r1).stop >
+                            op.annulus_lengths(r2).start) == overlap
+                    assert not overlap  # N >= 2 keeps every pair apart
+                    op.check_annuli_disjoint([r2, r1])
+
+    def test_range_check_matches_tenth_power_rule_where_shells_meet(self):
+        # below the config's floor, at N = 1, the shell of r2 reaches r1
+        # exactly when (r2 - r1)**10 < r2, as it does for 1023 and 1024
+        op = operator()
+        object.__setattr__(op.config, "degree", 1)
+        overlaps = 0
+        for r1 in range(1, 1100, 7):
+            for r2 in range(r1 + 1, r1 + 4):
+                overlap = shells_overlap(r1, r2, 1)
+                overlaps += overlap
+                if overlap:
+                    with pytest.raises(RuntimeError, match=(
+                            rf"^annuli for r={r1} and r={r2} overlap at N=1$")):
+                        op.check_annuli_disjoint([r1, r2])
+                else:
+                    op.check_annuli_disjoint([r1, r2])
+        assert overlaps > 100
+
+    def test_forged_overlapping_lengths_refused(self, monkeypatch):
+        op = operator()
+        monkeypatch.setattr(op, "annulus_lengths", lambda r: range(r, r + 3))
+        with pytest.raises(RuntimeError,
+                           match=r"^annuli for r=1 and r=2 overlap at N=2$"):
+            op._scaled_annuli([2, 1])
 
     def test_cap(self):
         op = operator(cap=1000)
@@ -214,6 +253,13 @@ class TestCone:
         assert not filler.is_alive() and not racer.is_alive()
         assert not returned_before_release
         assert coned == [reference_cone(op, c)]
+
+    def test_forged_repeated_cone_point_collides(self, monkeypatch):
+        op = operator()
+        monkeypatch.setattr(op, "annulus", lambda r: (A, w(2), A, w(-1)))
+        with pytest.raises(AssertionError, match=(
+                r"^cone outputs collided; the accumulation control is broken$")):
+            op.cone(Chain.single(F2, (w(1, 2),)))
 
     def test_different_model_rejected(self):
         with pytest.raises(ValueError):

@@ -303,6 +303,15 @@ class TestSerialization:
         # unreduced input is reduced on parse
         assert F2.element_from_str("aA") == w()
 
+    @pytest.mark.parametrize("rank", range(1, 27))
+    def test_every_letter_round_trips(self, rank):
+        # "e" spells the fifth generator from rank 5 on, not the identity
+        model = FreeGroup(rank)
+        for g in model.generators:
+            assert model.element_from_str(model.element_to_str(g)) == g
+        expected = model.word(5) if rank >= 5 else model.identity
+        assert model.element_from_str("e") == expected
+
     def test_vectors_and_residues(self):
         assert Z2.element_to_str((1, -2)) == "1,-2"
         assert Z2.element_from_str("1,-2") == (1, -2)

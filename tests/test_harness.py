@@ -404,6 +404,36 @@ class TestCli:
                 "exceeds cap") in done.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_huge_exponent_refused_at_once(self, tmp_path):
+        # an exact power sum at p = 10**6 would take minutes; it is refused
+        script = "import sys; from barnorm.cli import main; sys.exit(main())"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, "norms", "--p", "1000000", "--q",
+             "inf", "--trials", "1", "--outdir", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=5,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: exponent 1000000: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--cap", "20"), "annulus(r=2, N=2) of free:2: predicted size 144 "
+                          "exceeds cap 20"),
+        (("--model", "cyclic:7", "--radius", "3", "--max-diameter", "3",
+          "--trials", "3"), "annulus(r=3, N=2) of cyclic:7 is empty"),
+        (("--N", "3", "--radius", "3", "--max-diameter", "3", "--trials", "1"),
+         "annulus(r=3, N=3) of free:2: predicted size 13556617751088 exceeds "
+         "cap 10000000"),
+    ], ids=["cap", "empty", "N3"])
+    def test_diffusion_refusals_pinned(self, tmp_path, capsys, monkeypatch,
+                                       argv, message):
+        monkeypatch.delenv("BARNORM_ENUM_CAP", raising=False)
+        code = self.run("diffuse", *argv, "--outdir", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_cap_error_is_reported(self, tmp_path, capsys):
         code = self.run("diffuse", "--model", "free:2", "--N", "3",
                         "--degree", "1", "--radius", "3", "--max-diameter",

@@ -18,6 +18,7 @@ from barnorm.chains import (
 from barnorm.diffusion import AnnuliConfig, DiffusionOperator
 from barnorm.groups import Cyclic, FreeAbelian, FreeGroup, growth_constant
 from barnorm.norms import (
+    EXACT_SUM_MAX_BITS,
     INF,
     ZETA2,
     FiberedFamily,
@@ -83,6 +84,19 @@ class TestWeightedNorm:
         assert weighted_power_sum(c, 1, 2) == \
             Fraction(1, 9) * 1 + Fraction(4, 25) * 2
         assert weighted_power_sum(c, 0, 1) == Fraction(1, 3) + Fraction(2, 5)
+
+    def test_huge_integer_exponent_refused_before_any_power(self):
+        # 10**4 keeps its exact value; 10**6 would take a 7,000,000-bit sum
+        ones = Chain.from_terms(F2, 1, [((A,), 1), ((word(1, 2),), 1)])
+        assert weighted_power_sum(ones, 1, 10**4) == 3
+        assert weighted_norm(ones, 1, 10**4) == 3.0 ** (1 / 10**4)
+        assert EXACT_SUM_MAX_BITS == 1 << 20
+        c = Chain.from_terms(F2, 1, [((A,), Fraction(16, 3)),
+                                     ((word(1, 2),), Fraction(-2, 5))])
+        with pytest.raises(ValueError, match=(
+                r"^exponent 1000000: its exact power sum would hold about "
+                r"7000000 bits, past the bound of 1048576$")):
+            weighted_norm(c, 1, 10**6)
 
     def test_triangle_and_homogeneity(self):
         rng = random.Random(77)
